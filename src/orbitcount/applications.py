@@ -11,6 +11,8 @@ counts of the associated graph, which is the bridge the tests exercise.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -131,15 +133,19 @@ def kakutani_partition(rule: SplitRule, n: int) -> Partition:
     """Partition of [0, 1] after n rounds of splitting the longest interval.
 
     Ties on the maximal length break to the leftmost interval, which keeps
-    the procedure deterministic for commensurable rules.
+    the procedure deterministic for commensurable rules.  A heap keyed on
+    (-length, left) finds that interval, so the partition costs O(n log n).
     """
     _require_interval_rule(rule)
     if n < 0:
         raise ValueError("generation must be >= 0")
-    intervals = [Interval(left=0.0, length=1.0, type=1)]
+    seq = itertools.count()  # never reached while left endpoints differ
+    heap = [(-1.0, 0.0, next(seq), Interval(left=0.0, length=1.0, type=1))]
     for _ in range(n):
-        best = max(range(len(intervals)), key=lambda k: (intervals[k].length, -k))
-        intervals[best : best + 1] = _children(rule, intervals[best])
+        best = heapq.heappop(heap)[-1]
+        for child in _children(rule, best):
+            heapq.heappush(heap, (-child.length, child.left, next(seq), child))
+    intervals = sorted((item[-1] for item in heap), key=lambda iv: iv.left)
     return Partition(intervals=tuple(intervals), generation=n)
 
 

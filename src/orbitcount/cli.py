@@ -20,7 +20,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,17 +38,6 @@ from .spectral import MatrixFunction, Mode, solve_lambda
 _MODES = {"counting": Mode.COUNTING, "probability": Mode.PROBABILITY, "edge": Mode.EDGE}
 
 
-@dataclass
-class RunConfig:
-    """One resolved invocation: where input comes from, where output goes."""
-
-    command: str
-    input_path: str | None
-    output_path: str | None
-    fmt: str
-    options: dict = field(default_factory=dict)
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse's default usage failure calls sys.exit(2); route it through
     # the validation branch instead so exit codes keep their meaning.
@@ -63,12 +51,12 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _emit(config: RunConfig, header: list[str], rows: list[tuple], stream):
-    if config.fmt == "csv":
+def _emit(fmt: str, header: list[str], rows: list[tuple], stream):
+    if fmt == "csv":
         stream.write(",".join(header) + "\n")
         for row in rows:
             stream.write(",".join(_fmt(v) for v in row) + "\n")
-    elif config.fmt == "jsonl":
+    elif fmt == "jsonl":
         for row in rows:
             obj = {
                 k: (float(_fmt(v)) if isinstance(v, float) else v)
@@ -136,7 +124,7 @@ def _max_paths(args) -> int:
 # -- subcommand handlers -----------------------------------------------------------
 
 
-def _cmd_analyze(config: RunConfig, args, stream) -> int:
+def _cmd_analyze(fmt: str, args, stream) -> int:
     g = _load_graph_arg(args.graph)
     report = strong_connectivity(g)
     rows = [
@@ -168,67 +156,60 @@ def _cmd_analyze(config: RunConfig, args, stream) -> int:
     if verdict.rational_approx:
         p, q, res = verdict.rational_approx
         rows.append(("closest_rational", f"{p}/{q} residual {_fmt(res)}"))
-    _emit(config, ["key", "value"], rows, stream)
+    _emit(fmt, ["key", "value"], rows, stream)
     return 0
 
 
-def _cmd_count(config: RunConfig, args, stream) -> int:
-    g = _load_graph_arg(args.graph)
-    sol = solve_lambda(MatrixFunction(g, Mode.COUNTING))
-    cap = _max_paths(args)
-    i = args.start
-    rows = []
-    if args.family == "A":
+def _indices(args) -> tuple:
+    """``--from``, then ``--to`` for families A and C or ``--edge`` for B and D."""
+    if args.family in ("A", "C"):
         if args.to is None:
-            raise ValidationError("family A needs --to")
-        estimate = asy.count_paths_asymptotic(sol, i, args.to)
-        for x in _parse_grid(args.x, "x"):
-            exact = oracle.count_paths_exact(g, i, args.to, x, max_paths=cap)
-            approx = estimate.value_at(x)
-            rows.append((x, exact, approx, exact / approx if approx else math.nan))
-    else:
+            raise ValidationError(f"family {args.family} needs --to")
+        return (args.start, args.to)
+    if args.family in ("B", "D"):
         if args.edge is None:
-            raise ValidationError("family B needs --edge")
-        ref = _edge_ref(args.edge)
-        estimate = asy.count_edge_hits_asymptotic(sol, i, ref)
-        for x in _parse_grid(args.x, "x"):
-            exact = oracle.count_edge_hits_exact(g, i, ref, x, max_paths=cap)
-            approx = estimate.value_at(x)
-            rows.append((x, exact, approx, exact / approx if approx else math.nan))
-    _emit(config, ["x", "exact", "asymptotic", "ratio"], rows, stream)
-    return 0
+            raise ValidationError(f"family {args.family} needs --edge")
+        return (args.start, _edge_ref(args.edge))
+    return (args.start,)
 
 
-def _cmd_prob(config: RunConfig, args, stream) -> int:
+def _exact_vs_asymptotic(args, mode: Mode, grid_text: str, name: str) -> list[tuple]:
+    """(point, exact, asymptotic, ratio) rows, the exact column from one oracle call."""
     g = _load_graph_arg(args.graph)
-    sol = solve_lambda(MatrixFunction(g, Mode.PROBABILITY))
-    cap = _max_paths(args)
-    i = args.start
-    window = args.window
+    sol = solve_lambda(MatrixFunction(g, mode))
+    indices = _indices(args)
+    exact_fn, approx_fn = {
+        "A": (oracle.count_paths_exact, asy.count_paths_asymptotic),
+        "B": (oracle.count_edge_hits_exact, asy.count_edge_hits_asymptotic),
+        "C": (oracle.vertex_probability_atoms, asy.vertex_probability_asymptotic),
+        "D": (oracle.edge_probability_exact, asy.edge_probability_asymptotic),
+        "survival": (oracle.survival_exact, asy.survival_probability_asymptotic),
+    }[args.family]
+    options = {"window": args.window} if args.family == "C" else {}
+    estimate = approx_fn(sol, *indices)
+    grid = _parse_grid(grid_text, name)
+    exact = exact_fn(g, *indices, grid, max_paths=_max_paths(args), **options)
     rows = []
-    for t in _parse_grid(args.times, "T"):
-        if args.family == "C":
-            if args.to is None:
-                raise ValidationError("family C needs --to")
-            exact = oracle.vertex_probability_atoms(
-                g, i, args.to, t, window=window, max_paths=cap
-            )
-            approx = asy.vertex_probability_asymptotic(sol, i, args.to).value_at(t)
-        elif args.family == "D":
-            if args.edge is None:
-                raise ValidationError("family D needs --edge")
-            ref = _edge_ref(args.edge)
-            exact = oracle.edge_probability_exact(g, i, ref, t, max_paths=cap)
-            approx = asy.edge_probability_asymptotic(sol, i, ref).value_at(t)
-        else:
-            exact = oracle.survival_exact(g, i, t, max_paths=cap)
-            approx = asy.survival_probability_asymptotic(sol, i).value_at(t)
-        rows.append((t, exact, approx, exact / approx if approx else math.nan, window))
-    _emit(config, ["T", "exact", "asymptotic", "ratio", "window"], rows, stream)
+    for x, value in zip(grid, exact):
+        approx = estimate.value_at(x)
+        rows.append((x, value, approx, value / approx if approx else math.nan))
+    return rows
+
+
+def _cmd_count(fmt: str, args, stream) -> int:
+    rows = _exact_vs_asymptotic(args, Mode.COUNTING, args.x, "x")
+    _emit(fmt, ["x", "exact", "asymptotic", "ratio"], rows, stream)
     return 0
 
 
-def _cmd_walk(config: RunConfig, args, stream) -> int:
+def _cmd_prob(fmt: str, args, stream) -> int:
+    rows = _exact_vs_asymptotic(args, Mode.PROBABILITY, args.times, "T")
+    rows = [row + (args.window,) for row in rows]
+    _emit(fmt, ["T", "exact", "asymptotic", "ratio", "window"], rows, stream)
+    return 0
+
+
+def _cmd_walk(fmt: str, args, stream) -> int:
     g = _load_graph_arg(args.graph)
     if args.edge is None and not args.survival:
         raise ValidationError("walk needs --edge or --survival")
@@ -241,7 +222,7 @@ def _cmd_walk(config: RunConfig, args, stream) -> int:
         else:
             est = walker.ensemble_survival(g, args.start, t, args.samples, args.seed)
         rows.append((t, est.point_estimate, est.standard_error, est.sample_count, est.seed))
-    _emit(config, ["T", "estimate", "stderr", "n", "seed"], rows, stream)
+    _emit(fmt, ["T", "estimate", "stderr", "n", "seed"], rows, stream)
     return 0
 
 
@@ -256,27 +237,27 @@ def _kakutani_rule(args) -> apps.SplitRule:
     raise ValidationError("kakutani needs --alpha or --rule")
 
 
-def _cmd_kakutani(config: RunConfig, args, stream) -> int:
+def _cmd_kakutani(fmt: str, args, stream) -> int:
     rule = _kakutani_rule(args)
     if args.partition is not None:
         part = apps.kakutani_partition(rule, args.partition)
         rows = [(iv.left, iv.length, iv.type) for iv in part.intervals]
-        _emit(config, ["left", "length", "type"], rows, stream)
+        _emit(fmt, ["left", "length", "type"], rows, stream)
         return 0
     if args.threshold is not None:
         part = apps.kakutani_threshold_partition(rule, args.threshold)
         rows = [(iv.left, iv.length, iv.type) for iv in part.intervals]
-        _emit(config, ["left", "length", "type"], rows, stream)
+        _emit(fmt, ["left", "length", "type"], rows, stream)
         return 0
     rows = []
     for n in (int(v) for v in _parse_grid(args.generations, "n")):
         part = apps.kakutani_partition(rule, n)
         rows.append((n, part.interval_count, apps.discrepancy(part)))
-    _emit(config, ["n", "intervals", "discrepancy"], rows, stream)
+    _emit(fmt, ["n", "intervals", "discrepancy"], rows, stream)
     return 0
 
 
-def _cmd_subst(config: RunConfig, args, stream) -> int:
+def _cmd_subst(fmt: str, args, stream) -> int:
     rule = _load_rule_arg(args.rule)
     g = apps.substitution_graph(rule, args.dimension)
     if args.emit_graph:
@@ -293,29 +274,22 @@ def _cmd_subst(config: RunConfig, args, stream) -> int:
         ("eigenvector_residual", report.eigenvector_residual),
         ("verdict", "ok"),
     ]
-    _emit(config, ["key", "value"], rows, stream)
+    _emit(fmt, ["key", "value"], rows, stream)
     return 0
 
 
-def _cmd_laplace(config: RunConfig, args, stream) -> int:
+def _cmd_laplace(fmt: str, args, stream) -> int:
     g = _load_graph_arg(args.graph)
     mode = Mode.COUNTING if args.family in ("A", "B") else Mode.PROBABILITY
     f = MatrixFunction(g, mode)
-    if args.family in ("A", "C"):
-        if args.to is None:
-            raise ValidationError(f"family {args.family} needs --to")
-        indices = (args.start, args.to)
-    else:
-        if args.edge is None:
-            raise ValidationError(f"family {args.family} needs --edge")
-        indices = (args.start, _edge_ref(args.edge))
+    indices = _indices(args)
     lam = solve_lambda(f).lam
     if args.scan:
         rows = [
             (eps, np.real(val), np.imag(val))
             for eps, val in asy.pole_residue_scan(f, args.family, indices, lam=lam)
         ]
-        _emit(config, ["epsilon", "residue_estimate", "residue_imag"], rows, stream)
+        _emit(fmt, ["epsilon", "residue_estimate", "residue_imag"], rows, stream)
         return 0
     try:
         s = complex(args.s)
@@ -323,7 +297,7 @@ def _cmd_laplace(config: RunConfig, args, stream) -> int:
         raise ValidationError(f"bad s value {args.s!r}") from exc
     value = asy.laplace_transform(f, args.family, indices, s if s.imag else s.real, lam=lam)
     rows = [(args.s, np.real(value), np.imag(value), lam)]
-    _emit(config, ["s", "value", "value_imag", "lambda"], rows, stream)
+    _emit(fmt, ["s", "value", "value_imag", "lambda"], rows, stream)
     return 0
 
 
@@ -415,30 +389,15 @@ def _build_parser() -> _Parser:
 
 def run(argv=None) -> int:
     parser = _build_parser()
-    numeric_keys = (
-        "x", "times", "samples", "seed", "window", "max_paths", "tolerance",
-        "max_denominator", "max_edges", "generations", "partition", "threshold",
-        "dimension", "s",
-    )
     try:
         args = parser.parse_args(argv)
-        config = RunConfig(
-            command=args.command,
-            input_path=getattr(args, "graph", getattr(args, "rule", None)),
-            output_path=args.output,
-            fmt=args.format or args.default_format,
-            options={
-                k: v
-                for k, v in vars(args).items()
-                if k in numeric_keys and v is not None
-            },
-        )
+        fmt = args.format or args.default_format
         if args.command == "laplace" and not args.scan and args.s is None:
             raise ValidationError("laplace needs --s or --scan")
         if args.output:
             with open(args.output, "w") as stream:
-                return args.handler(config, args, stream)
-        return args.handler(config, args, sys.stdout)
+                return args.handler(fmt, args, stream)
+        return args.handler(fmt, args, sys.stdout)
     except BudgetOverflow as exc:
         print(f"orbitcount: budget overflow: {exc}", file=sys.stderr)
         return 3

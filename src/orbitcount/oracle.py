@@ -18,6 +18,15 @@ discipline:
 Length comparisons against the half-open windows [l(gamma), l(gamma)+l(alpha))
 use plain <= and < with no epsilon fudge; callers should choose query points
 away from atom boundaries.
+
+Every counting and probability operation takes one query point or a grid of
+them.  A grid is answered from a single expansion up to its largest point:
+each point sums the same classes, in the same order, as an expansion up to
+that point alone, so the answers are bit-identical to one call per point.
+The one exception is a point within ``MERGE_TOLERANCE`` of a path length,
+where a merge bucket may straddle the point; such points are excluded above
+anyway.  The budget counts the classes of that single expansion, so a grid
+overflows exactly when its largest point does.
 """
 
 from __future__ import annotations
@@ -25,6 +34,9 @@ from __future__ import annotations
 import cmath
 import heapq
 import math
+import numbers
+from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import count as _counter
 
@@ -37,6 +49,9 @@ DEFAULT_MAX_PATHS = 50_000_000
 # noise from different summation orders).  Kept far below any realistic edge
 # length and far above accumulated rounding of desk-scale horizons.
 MERGE_TOLERANCE = 1e-9
+
+# One query point, or a grid of them (answered from one expansion).
+Points = float | Sequence[float]
 
 
 @dataclass(frozen=True)
@@ -130,8 +145,36 @@ def _expand_classes(g: WeightedDigraph, start: int, budget: EnumerationBudget):
                     heapq.heappush(heap, (ext, e.target, cnt, m))
 
 
-def _budget(horizon: float, max_paths: int) -> EnumerationBudget:
-    return EnumerationBudget(max_length=horizon, max_paths=max_paths)
+def _sweep(g: WeightedDigraph, start: int, x, max_paths: int, terms, zero=0, scale=None):
+    """Sum class weights at every point of ``x`` from one expansion.
+
+    The classes are expanded once, up to the largest point.  ``terms(grid,
+    length, vertex, cnt, mass)`` lists the (weight, stop) pairs of one class:
+    the weight goes to the sorted grid points >= length below index ``stop``,
+    the number of points that pass the family's window test.  That test
+    holds on a prefix of the grid; ``bisect_left(grid, end)`` counts the
+    points with t < end by that very float comparison.  Each point adds its
+    weights in emission order, as an expansion up to that point alone would;
+    each finished sum is multiplied by ``scale`` if given.  A number ``x``
+    gives a number, a sequence a list in its own order; negative points give
+    ``zero``.
+    """
+    scalar = isinstance(x, numbers.Real)
+    points = [x] if scalar else list(x)
+    order = sorted(range(len(points)), key=points.__getitem__)
+    grid = [points[k] for k in order]
+    sums = [zero] * len(grid)
+    if grid and grid[-1] >= 0.0:
+        budget = EnumerationBudget(max_length=grid[-1], max_paths=max_paths)
+        for length, vertex, cnt, mass in _expand_classes(g, start, budget):
+            first = bisect_left(grid, length)
+            for weight, stop in terms(grid, length, vertex, cnt, mass):
+                for k in range(first, stop):
+                    sums[k] += weight
+    totals = [zero] * len(grid)
+    for k, total in zip(order, sums):
+        totals[k] = total if scale is None else total * scale
+    return totals[0] if scalar else totals
 
 
 def _require_probabilities(g: WeightedDigraph):
@@ -140,44 +183,42 @@ def _require_probabilities(g: WeightedDigraph):
 
 
 def count_paths_exact(
-    g: WeightedDigraph, i: int, j: int, x: float, max_paths: int = DEFAULT_MAX_PATHS
-) -> int:
+    g: WeightedDigraph, i: int, j: int, x: Points, max_paths: int = DEFAULT_MAX_PATHS
+) -> int | list[int]:
     """Number of paths from i to j of length at most x (empty path included)."""
-    if x < 0.0:
-        return 0
-    total = 0
-    for length, vertex, cnt, _ in _expand_classes(g, i, _budget(x, max_paths)):
-        if vertex == j:
-            total += cnt
-    return total
+
+    def terms(grid, length, vertex, cnt, mass):
+        return ((cnt, len(grid)),) if vertex == j else ()
+
+    return _sweep(g, i, x, max_paths, terms)
 
 
 def count_edge_hits_exact(
-    g: WeightedDigraph, i: int, edge_ref, x: float, max_paths: int = DEFAULT_MAX_PATHS
-) -> int:
+    g: WeightedDigraph, i: int, edge_ref, x: Points, max_paths: int = DEFAULT_MAX_PATHS
+) -> int | list[int]:
     """Number of paths of length exactly x from i to a point on the edge.
 
     Counts paths gamma ending at the edge's origin with
     l(gamma) <= x < l(gamma) + l(edge).
     """
     alpha = g.edge(edge_ref)
-    if x < 0.0:
-        return 0
-    total = 0
-    for length, vertex, cnt, _ in _expand_classes(g, i, _budget(x, max_paths)):
-        if vertex == alpha.source and x < length + alpha.length:
-            total += cnt
-    return total
+
+    def terms(grid, length, vertex, cnt, mass):
+        if vertex != alpha.source:
+            return ()
+        return ((cnt, bisect_left(grid, length + alpha.length)),)
+
+    return _sweep(g, i, x, max_paths, terms)
 
 
 def vertex_probability_atoms(
     g: WeightedDigraph,
     i: int,
     j: int,
-    time: float,
+    time: Points,
     window: float = 0.0,
     max_paths: int = DEFAULT_MAX_PATHS,
-) -> float:
+) -> float | list[float]:
     """Probability mass of being exactly at vertex j during [time-window, time].
 
     The at-vertex occupation is purely atomic (a sum of point masses at path
@@ -186,33 +227,37 @@ def vertex_probability_atoms(
     _require_probabilities(g)
     if window < 0.0:
         raise ValueError("window must be >= 0")
-    if time < 0.0:
-        return 0.0
-    total = 0.0
-    for length, vertex, _, mass in _expand_classes(g, i, _budget(time, max_paths)):
-        if vertex == j and length >= time - window:
-            total += mass
-    return total
+
+    def terms(grid, length, vertex, cnt, mass):
+        if vertex != j:
+            return ()
+        # Tested as written: t <= length + window can differ in floats.
+        stop = 0
+        while stop < len(grid) and length >= grid[stop] - window:
+            stop += 1
+        return ((mass, stop),)
+
+    return _sweep(g, i, time, max_paths, terms, 0.0)
 
 
 def edge_probability_exact(
-    g: WeightedDigraph, i: int, edge_ref, time: float, max_paths: int = DEFAULT_MAX_PATHS
-) -> float:
+    g: WeightedDigraph, i: int, edge_ref, time: Points, max_paths: int = DEFAULT_MAX_PATHS
+) -> float | list[float]:
     """Probability that the walker from i is on the given edge at ``time``."""
     _require_probabilities(g)
     alpha = g.edge(edge_ref)
-    if time < 0.0:
-        return 0.0
-    total = 0.0
-    for length, vertex, _, mass in _expand_classes(g, i, _budget(time, max_paths)):
-        if vertex == alpha.source and time < length + alpha.length:
-            total += mass
-    return total * alpha.probability
+
+    def terms(grid, length, vertex, cnt, mass):
+        if vertex != alpha.source:
+            return ()
+        return ((mass, bisect_left(grid, length + alpha.length)),)
+
+    return _sweep(g, i, time, max_paths, terms, 0.0, scale=alpha.probability)
 
 
 def survival_exact(
-    g: WeightedDigraph, i: int, time: float, max_paths: int = DEFAULT_MAX_PATHS
-) -> float:
+    g: WeightedDigraph, i: int, time: Points, max_paths: int = DEFAULT_MAX_PATHS
+) -> float | list[float]:
     """Probability that the walker from i is still on some edge at ``time``.
 
     Equals the sum of :func:`edge_probability_exact` over all edges, computed
@@ -222,14 +267,14 @@ def survival_exact(
     the not-yet-exited mass.
     """
     _require_probabilities(g)
-    if time < 0.0:
-        return 0.0
-    total = 0.0
-    for length, vertex, _, mass in _expand_classes(g, i, _budget(time, max_paths)):
-        for e in g.out_edges(vertex):
-            if time < length + e.length:
-                total += mass * e.probability
-    return total
+
+    def terms(grid, length, vertex, cnt, mass):
+        return [
+            (mass * e.probability, bisect_left(grid, length + e.length))
+            for e in g.out_edges(vertex)
+        ]
+
+    return _sweep(g, i, time, max_paths, terms, 0.0)
 
 
 def truncated_laplace_sum(
@@ -248,17 +293,11 @@ def truncated_laplace_sum(
     the (i, j) resolvent entry adj(I - M(s))_ij / det(I - M(s)); the tail is
     geometrically small in the horizon.
     """
-    total = 0.0j if isinstance(s, complex) else 0.0
-    for length, vertex, cnt, mass in _expand_classes(
-        g, i, _budget(max_length, max_paths)
-    ):
-        if vertex == j:
-            weight = mass if weighted else cnt
-            total += weight * _exp_neg(s, length)
-    return total
+    exp, zero = (cmath.exp, 0.0j) if isinstance(s, complex) else (math.exp, 0.0)
 
+    def terms(grid, length, vertex, cnt, mass):
+        if vertex != j:
+            return ()
+        return (((mass if weighted else cnt) * exp(-s * length), len(grid)),)
 
-def _exp_neg(s, length: float):
-    if isinstance(s, complex):
-        return cmath.exp(-s * length)
-    return math.exp(-s * length)
+    return _sweep(g, i, max_length, max_paths, terms, zero)

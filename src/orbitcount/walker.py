@@ -96,37 +96,31 @@ def _draw_budget(g: WeightedDigraph, horizon: float) -> int:
 
 
 def simulate_walk(g: WeightedDigraph, start: int, horizon: float, seed: int) -> WalkOutcome:
-    """One walk from ``start`` up to time ``horizon``, deterministic in ``seed``."""
-    if horizon < 0.0:
-        raise ValueError("horizon must be >= 0")
-    tables = _vertex_tables(g)
-    draws = np.random.Generator(np.random.Philox(seed)).random(_draw_budget(g, horizon))
-    vertex = start
-    t = 0.0
-    for u in draws:
-        if t == horizon:
-            return WalkOutcome(status=AT_VERTEX, path_length_traversed=t, vertex=vertex)
-        cum, lengths, targets, ids = tables[vertex]
-        k = int(np.searchsorted(cum, u, side="right"))
-        if k == len(cum):
-            return WalkOutcome(status=EXITED, path_length_traversed=t, exit_time=t)
-        arrival = float(t + lengths[k])
-        if arrival > horizon:
-            return WalkOutcome(
-                status=ON_EDGE,
-                path_length_traversed=horizon,
-                edge_id=int(ids[k]),
-                offset=float(horizon - t),
-            )
-        vertex = int(targets[k])
-        t = arrival
-    raise AssertionError("draw budget exhausted; walk logic violated its bound")
+    """One walk from ``start`` up to time ``horizon``, deterministic in ``seed``.
+
+    It is run 0 of the ensemble with the same seed, so it consumes the same
+    uniforms and ends in the same state.
+    """
+    [(status, edge_id, vertex, t)] = _ensemble_outcomes(g, start, horizon, 1, seed)
+    t = float(t[0])
+    if status[0] == 0:
+        return WalkOutcome(status=AT_VERTEX, path_length_traversed=t, vertex=int(vertex[0]))
+    if status[0] == 2:
+        return WalkOutcome(status=EXITED, path_length_traversed=t, exit_time=t)
+    return WalkOutcome(
+        status=ON_EDGE,
+        path_length_traversed=horizon,
+        edge_id=int(edge_id[0]),
+        offset=horizon - t,
+    )
 
 
 def _ensemble_outcomes(g: WeightedDigraph, start: int, horizon: float, n: int, seed: int):
-    """Yield (status_codes, edge_ids) arrays batch by batch.
+    """Yield (status_codes, edge_ids, vertices, times) arrays batch by batch.
 
-    Status codes: 0 at-vertex, 1 on-edge, 2 exited.
+    Status codes: 0 at-vertex, 1 on-edge, 2 exited.  ``vertices`` and
+    ``times`` hold each walker's last vertex and its arrival time there (the
+    departure vertex and time of an on-edge walker).
     """
     if horizon < 0.0:
         raise ValueError("horizon must be >= 0")
@@ -175,7 +169,7 @@ def _ensemble_outcomes(g: WeightedDigraph, start: int, horizon: float, n: int, s
         if leftover.any() and bool((t[leftover] < horizon).any()):
             raise AssertionError("draw budget exhausted; walk logic violated its bound")
         status[leftover] = 0  # walkers sitting at a vertex exactly at T
-        yield status, edge_id
+        yield status, edge_id, vertex, t
         done += size
 
 
@@ -195,7 +189,7 @@ def ensemble_edge_probability(
     """Fraction of n walkers sitting on the given edge at the horizon."""
     alpha = g.edge(edge_ref)
     hits = 0
-    for status, edge_id in _ensemble_outcomes(g, start, horizon, n, seed):
+    for status, edge_id, _, _ in _ensemble_outcomes(g, start, horizon, n, seed):
         hits += int(((status == 1) & (edge_id == alpha.id)).sum())
     return _estimate(hits, n, seed)
 
@@ -205,6 +199,6 @@ def ensemble_survival(
 ) -> EnsembleEstimate:
     """Fraction of n walkers that never left the graph by the horizon."""
     hits = 0
-    for status, _ in _ensemble_outcomes(g, start, horizon, n, seed):
+    for status, _, _, _ in _ensemble_outcomes(g, start, horizon, n, seed):
         hits += int((status != 2).sum())
     return _estimate(hits, n, seed)

@@ -3,6 +3,8 @@
 Claims covered:
     - the 1/3 splitting sequence reproduces the first partitions by hand,
       and every partition tiles [0, 1] to within 1e-12
+    - the heap-driven splitting gives exactly the partitions of a literal
+      longest-leftmost scan, with every split tied (1/2) and untied (1/3)
     - threshold partitions match the on-edge counts of the associated graph
       exactly at random thresholds, and measure is conserved at every x
     - star discrepancy matches closed forms (single point, uniform grid) and
@@ -65,6 +67,30 @@ def test_ties_break_leftmost():
     rule = SplitRule.from_ratios([0.5, 0.5])
     p2 = kakutani_partition(rule, 2)
     assert [iv.length for iv in p2.intervals] == pytest.approx([0.25, 0.25, 0.5])
+
+
+def _quadratic_partitions(rule, n):
+    """Partitions 0..n by the literal rule: scan for the longest, leftmost first."""
+    intervals = [Interval(left=0.0, length=1.0, type=1)]
+    yield tuple(intervals)
+    for _ in range(n):
+        best = max(range(len(intervals)), key=lambda k: (intervals[k].length, -k))
+        parent = intervals[best]
+        children, left = [], parent.left
+        for child_type, scale in rule.prototiles[parent.type - 1]:
+            children.append(Interval(left=left, length=parent.length * scale, type=child_type))
+            left += parent.length * scale
+        intervals[best : best + 1] = children
+        yield tuple(intervals)
+
+
+@pytest.mark.parametrize("alpha", [1 / 2, 1 / 3])
+def test_partition_matches_quadratic_scan(alpha):
+    # alpha = 1/2 ties every split, so the leftmost rule decides each step.
+    rule = SplitRule.from_ratios([alpha, 1.0 - alpha])
+    for n, literal in enumerate(_quadratic_partitions(rule, 500)):
+        if n % 7 == 0 or n == 500:
+            assert kakutani_partition(rule, n).intervals == literal
 
 
 # -- threshold form ------------------------------------------------------------------

@@ -11,14 +11,19 @@ Claims covered:
     - at-vertex masses, on-edge masses, and survival match closed forms on
       loop graphs and satisfy the measure bookkeeping on stochastic graphs
     - truncated transform sums converge to the resolvent entry
+    - a grid of query points gives exactly the pointwise answers, in input
+      order, overflows exactly when its largest point does, and costs the
+      CLI one class expansion per count/prob query
 """
 
+import json
 import math
 
 import numpy as np
 import pytest
 
-from orbitcount import build_graph
+from orbitcount import build_graph, oracle
+from orbitcount.cli import run
 from orbitcount.errors import BudgetOverflow, MissingProbabilities
 from orbitcount.oracle import (
     EnumerationBudget,
@@ -31,6 +36,8 @@ from orbitcount.oracle import (
     vertex_probability_atoms,
 )
 from orbitcount.spectral import MatrixFunction, Mode, solve_lambda
+
+from conftest import two_vertex_spec
 
 
 def dfs_count(g, v, j, remaining):
@@ -291,3 +298,97 @@ def test_truncated_sum_weighted_matches_probability_resolvent(two_vertex_stochas
         two_vertex_stochastic, 1, 2, 1.0, max_length=18.0, weighted=True
     )
     assert got == pytest.approx(resolvent[0, 1], rel=1e-6)
+
+
+# -- query grids ------------------------------------------------------------------
+
+
+def _grid_graphs():
+    """The lattice two-vertex graph (many merged classes) and random ring graphs."""
+    graphs = [build_graph(two_vertex_spec(probability=0.45))]
+    rng = np.random.default_rng(31)
+    for n in (2, 3, 5):
+        edges = [
+            {"from": v, "to": t, "length": float(rng.uniform(0.5, 2.0)), "probability": 0.3}
+            for v in range(1, n + 1)
+            for t in [v % n + 1] + [int(t) + 1 for t in rng.integers(0, n, 2)]
+        ]
+        graphs.append(build_graph({"vertices": n, "edges": edges}))
+    return graphs
+
+
+GRID_FAMILIES = {
+    "A": lambda g, x, **kw: count_paths_exact(g, 1, 2, x, **kw),
+    "B": lambda g, x, **kw: count_edge_hits_exact(g, 1, 1, x, **kw),
+    "C": lambda g, x, **kw: vertex_probability_atoms(g, 1, 1, x, window=0.4, **kw),
+    "C0": lambda g, x, **kw: vertex_probability_atoms(g, 1, 2, x, **kw),
+    "D": lambda g, x, **kw: edge_probability_exact(g, 1, 2, x, **kw),
+    "survival": lambda g, x, **kw: survival_exact(g, 1, x, **kw),
+}
+
+
+@pytest.mark.parametrize("family", sorted(GRID_FAMILIES))
+def test_grid_equals_pointwise_calls(family):
+    exact = GRID_FAMILIES[family]
+    rng = np.random.default_rng(5)
+    for g in _grid_graphs():
+        top = 13.0 if g.vertex_count == 2 else 7.0
+        grid = [float(v) for v in rng.uniform(-1.0, top, 9)] + [0.0, top / 2]
+        grid.append(grid[3])  # a repeated point
+        got = exact(g, grid)
+        want = [exact(g, x) for x in grid]
+        assert got == want
+        assert [type(v) for v in got] == [type(v) for v in want]
+
+
+@pytest.mark.parametrize("family", sorted(GRID_FAMILIES))
+def test_grid_keeps_input_order_and_is_zero_below_start(family):
+    exact = GRID_FAMILIES[family]
+    g = build_graph(two_vertex_spec(probability=0.45))
+    grid = [7.5, -2.0, 3.1, -0.5, 5.2, 0.0]
+    got = exact(g, grid)
+    assert got[1] == got[3] == 0 and type(got[1]) is type(exact(g, -2.0))
+    ascending = exact(g, sorted(grid))
+    assert got == [ascending[sorted(grid).index(x)] for x in grid]
+    assert exact(g, tuple(grid)) == exact(g, np.array(grid)) == got
+    assert exact(g, []) == [] and exact(g, [-1.0, -3.0]) == [0, 0]
+
+
+@pytest.mark.parametrize("family", sorted(GRID_FAMILIES))
+def test_grid_overflows_exactly_as_its_largest_point(family):
+    exact = GRID_FAMILIES[family]
+    g = build_graph(two_vertex_spec(probability=0.45))
+    with pytest.raises(BudgetOverflow) as alone:
+        exact(g, 12.0, max_paths=50)
+    with pytest.raises(BudgetOverflow) as grid:
+        exact(g, [1.0, 12.0, 3.0], max_paths=50)
+    assert grid.value.args == alone.value.args
+    assert exact(g, [1.0, 2.5], max_paths=50) == [exact(g, 1.0), exact(g, 2.5)]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--family", "A", "--from", "1", "--to", "2"],
+        ["count", "--family", "B", "--from", "1", "--edge", "gamma2"],
+        ["prob", "--family", "C", "--from", "1", "--to", "2", "--window", "0.5"],
+        ["prob", "--family", "D", "--from", "1", "--edge", "beta"],
+        ["prob", "--family", "survival", "--from", "1"],
+    ],
+    ids=lambda argv: argv[2],
+)
+def test_cli_grid_query_expands_once(argv, tmp_path, monkeypatch, capsys):
+    calls = []
+    expand = oracle._expand_classes
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return expand(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "_expand_classes", counted)
+    path = tmp_path / "two_vertex.json"
+    path.write_text(json.dumps(two_vertex_spec(probability=0.45)))
+    flag = "--x" if argv[0] == "count" else "--T"
+    assert run([argv[0], str(path), *argv[1:], flag, "9.1,2.2,5.15,12.8,3.6,7.4,11.05,1.1"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 9
+    assert len(calls) == 1

@@ -2,6 +2,8 @@
 
 Claims covered:
     - identical inputs reproduce identical outcomes and estimates bit for bit
+    - a single walk is run 0 of the vectorized ensemble: it matches a walk
+      stepped by hand from the same uniforms
     - the probability-1 loop walk is deterministic: on-edge with the right
       offset, at-vertex at integer times and at T=0
     - ensemble survival and edge-occupation frequencies agree with the exact
@@ -17,16 +19,21 @@ import math
 import numpy as np
 import pytest
 
+from orbitcount import build_graph
 from orbitcount.oracle import edge_probability_exact, survival_exact
 from orbitcount.walker import (
     AT_VERTEX,
     EXITED,
     ON_EDGE,
+    STOCHASTIC_SLACK,
+    WalkOutcome,
     ensemble_edge_probability,
     ensemble_survival,
     merge_estimates,
     simulate_walk,
 )
+
+from conftest import two_vertex_spec
 
 
 def test_unit_loop_walk_is_deterministic(unit_loop):
@@ -58,6 +65,47 @@ def test_walk_reproducible_bitwise(two_vertex_stochastic):
     a = simulate_walk(two_vertex_stochastic, 1, 7.3, seed=123)
     b = simulate_walk(two_vertex_stochastic, 1, 7.3, seed=123)
     assert a == b
+
+
+def _literal_walk(g, start, horizon, seed):
+    """One walk stepped by hand: one Philox uniform per vertex decision."""
+    draws = np.random.Generator(np.random.Philox(seed)).random(
+        int(horizon / g.min_edge_length()) + 2
+    )
+    vertex, t = start, 0.0
+    for u in draws:
+        if t == horizon:
+            return WalkOutcome(status=AT_VERTEX, path_length_traversed=t, vertex=vertex)
+        edges = g.out_edges(vertex)
+        cum = np.cumsum([e.probability for e in edges]) if edges else np.zeros(0)
+        if len(cum) and abs(cum[-1] - 1.0) <= STOCHASTIC_SLACK:
+            cum[-1] = 1.0
+        k = int(np.searchsorted(cum, u, side="right"))
+        if k == len(cum):
+            return WalkOutcome(status=EXITED, path_length_traversed=t, exit_time=t)
+        arrival = t + edges[k].length
+        if arrival > horizon:
+            return WalkOutcome(
+                status=ON_EDGE,
+                path_length_traversed=horizon,
+                edge_id=edges[k].id,
+                offset=horizon - t,
+            )
+        vertex, t = edges[k].target, arrival
+    raise AssertionError("draw budget exhausted")
+
+
+def test_single_walk_is_run_zero_of_the_ensemble():
+    # p = 0.9 over two out-edges per vertex: walks end on an edge, at a
+    # vertex (T = 2 log 2 is an arrival time) or by leaving the graph.
+    g = build_graph(two_vertex_spec(probability=0.45))
+    statuses = set()
+    for seed in range(60):
+        for horizon in (0.0, 2 * math.log(2), 7.3, 30.3):
+            out = simulate_walk(g, 1, horizon, seed)
+            assert out == _literal_walk(g, 1, horizon, seed)
+            statuses.add(out.status)
+    assert statuses == {AT_VERTEX, ON_EDGE, EXITED}
 
 
 def test_ensemble_survival_matches_exact(half_loop):
