@@ -7,7 +7,8 @@ Claims covered:
       columns approach 1
     - kakutani and subst cover the partitions, discrepancy table and rule
       verification; laplace covers values and the residue scan
-    - outputs are byte-for-byte deterministic given the same invocation
+    - outputs are byte-for-byte deterministic given the same invocation;
+      analyze, count and prob outputs are frozen as golden bytes
     - exit codes: 1 validation, 2 numerical failure, 3 budget overflow
     - a parsed-then-serialized graph reparses identically
 """
@@ -15,12 +16,14 @@ Claims covered:
 import json
 import math
 
+import numpy as np
 import pytest
 
 from orbitcount import build_graph, graph_to_dict
 from orbitcount.cli import run
+from orbitcount.spectral import MatrixFunction, Mode, solve_lambda
 
-from conftest import two_vertex_spec
+from conftest import cofactor_adjugate, ring_spec, two_vertex_spec
 
 
 @pytest.fixture
@@ -492,3 +495,245 @@ def test_count_prob_golden_bytes(graph, argv, expected, tmp_path, capsys):
     path.write_text(json.dumps(GOLDEN_GRAPHS[graph]))
     assert run([argv[0], str(path), *argv[1:]]) == 0
     assert capsys.readouterr().out == expected
+
+
+# -- golden bytes for analyze ---------------------------------------------------------
+
+ANALYZE_GRAPHS = {
+    "p09": two_vertex_spec(probability=0.45),
+    "ring5": ring_spec(5, 5, 0.9),
+}
+
+# Exact stdout of analyze in all three modes, frozen while Q still came from
+# the cofactor adjugate; any change to a digit is a regression.
+ANALYZE_GOLDEN = [
+    (
+        'p09',
+        ['--mode', 'counting'],
+        (
+            'key                 value                                  \n'
+            'vertices            2                                      \n'
+            'edges               4                                      \n'
+            'strongly_connected  True                                   \n'
+            'mode                counting                               \n'
+            'lambda              1                                      \n'
+            'mu_residual         6.66133814775e-16                      \n'
+            'Q_row_1             0.988724326063 0.494362163031          \n'
+            'Q_row_2             0.988724326063 0.494362163031          \n'
+            'perron_mu           1                                      \n'
+            'right_vector        0.5 0.5                                \n'
+            'left_vector         1.33333333333 0.666666666667           \n'
+            'incommensurability  incommensurable_witness                \n'
+            'witness_lengths     0.69314718056 1.09861228867            \n'
+            'closest_rational    190537/301994 residual 6.4552295953e-08\n'
+        ),
+    ),
+    (
+        'p09',
+        ['--mode', 'probability'],
+        (
+            'key                 value                                  \n'
+            'vertices            2                                      \n'
+            'edges               4                                      \n'
+            'strongly_connected  True                                   \n'
+            'mode                probability                            \n'
+            'lambda              -0.147203318833                        \n'
+            'mu_residual         9.88542581126e-13                      \n'
+            'Q_row_1             0.926545631058 0.461734090974          \n'
+            'Q_row_2             0.932721040423 0.464811540084          \n'
+            'perron_mu           1                                      \n'
+            'right_vector        0.498339288963 0.501660711037          \n'
+            'left_vector         1.33629718525 0.665929389142           \n'
+            'incommensurability  incommensurable_witness                \n'
+            'witness_lengths     0.69314718056 1.09861228867            \n'
+            'closest_rational    190537/301994 residual 6.4552295953e-08\n'
+        ),
+    ),
+    (
+        'p09',
+        ['--mode', 'edge'],
+        (
+            'key                 value                                                      \n'
+            'vertices            2                                                          \n'
+            'edges               4                                                          \n'
+            'strongly_connected  True                                                       \n'
+            'mode                edge                                                       \n'
+            'lambda              -0.147203318833                                            \n'
+            'mu_residual         9.88542581126e-13                                          \n'
+            'Q_row_1             0.461734090972 0.464811540086 0.442588926848 0.490132113575\n'
+            'Q_row_2             0.461734090974 0.464811540084 0.442588926848 0.490132113575\n'
+            'Q_row_3             0.230100238586 0.231633852388 0.220559451107 0.244252088977\n'
+            'Q_row_4             0.230100238586 0.231633852388 0.220559451109 0.244252088976\n'
+            'perron_mu           1                                                          \n'
+            'right_vector        0.33370278927 0.33370278927 0.16629721073 0.16629721073    \n'
+            'left_vector         0.994474091783 1.00110224307 0.953239601894 1.05563721204  \n'
+            'incommensurability  incommensurable_witness                                    \n'
+            'witness_lengths     0.69314718056 1.09861228867                                \n'
+            'closest_rational    190537/301994 residual 6.4552295953e-08                    \n'
+        ),
+    ),
+    (
+        'ring5',
+        ['--mode', 'counting', '--format', 'csv'],
+        (
+            'key,value\n'
+            'vertices,5\n'
+            'edges,15\n'
+            'strongly_connected,True\n'
+            'mode,counting\n'
+            'lambda,0.852884231685\n'
+            'mu_residual,3.10862446895e-14\n'
+            'Q_row_1,0.155095832341 0.0366088238621 0.0965702456693 0.182656583639 0.143505789014\n'
+            'Q_row_2,0.175882893939 0.0415154023639 0.109513286208 0.207137535823 0.162739469449\n'
+            'Q_row_3,0.246298655903 0.0581363404506 0.153357581242 0.29006627943 0.227893183298\n'
+            'Q_row_4,0.253046312514 0.0597290574735 0.157559002046 0.298013004274 0.2341365992\n'
+            'Q_row_5,0.220797549274 0.0521170586505 0.137479345865 0.260033589669 0.204297730266\n'
+            'perron_mu,1\n'
+            'right_vector,0.147552752102 0.167328835706 0.234319929614 0.240739414188 0.21005906839\n'
+            'left_vector,1.2333057192 0.291109510558 0.767916419744 1.45246590996 1.14114291569\n'
+            'incommensurability,incommensurable_witness\n'
+            'witness_lengths,1.533246 2.122828\n'
+            'closest_rational,17507/24239 residual 2.00000067707e-06\n'
+        ),
+    ),
+    (
+        'ring5',
+        ['--mode', 'probability', '--format', 'csv'],
+        (
+            'key,value\n'
+            'vertices,5\n'
+            'edges,15\n'
+            'strongly_connected,True\n'
+            'mode,probability\n'
+            'lambda,-0.0749571377028\n'
+            'mu_residual,2.82773804372e-13\n'
+            'Q_row_1,0.213799733291 0.0728173055045 0.0934377261238 0.216364106385 0.124187519607\n'
+            'Q_row_2,0.211795551018 0.0721347080541 0.0925618305769 0.214335885395 0.123023372105\n'
+            'Q_row_3,0.205848849518 0.0701093417299 0.0899629205711 0.208317857514 0.119569176453\n'
+            'Q_row_4,0.206886324939 0.0704626918654 0.0904163324755 0.209367776702 0.120171803488\n'
+            'Q_row_5,0.209659261229 0.0714071165654 0.0916281995702 0.212173972356 0.121782488752\n'
+            'perron_mu,1\n'
+            'right_vector,0.204009380256 0.202096973832 0.196422584678 0.197412551852 0.200058509381\n'
+            'left_vector,1.4822052708 0.504819123779 0.647773914497 1.49998325049 0.860952412314\n'
+            'incommensurability,incommensurable_witness\n'
+            'witness_lengths,1.533246 2.122828\n'
+            'closest_rational,17507/24239 residual 2.00000067707e-06\n'
+        ),
+    ),
+    (
+        'ring5',
+        ['--mode', 'edge', '--format', 'csv'],
+        (
+            'key,value\n'
+            'vertices,5\n'
+            'edges,15\n'
+            'strongly_connected,True\n'
+            'mode,edge\n'
+            'lambda,-0.0749571377028\n'
+            'mu_residual,2.82995848977e-13\n'
+            'Q_row_1,0.0721347080541 0.0716390476611 0.0700259775758 0.067558949137 0.0726066405466 0.0716299613343 0.067925763391 0.0671355012554 0.0707875848714 0.066910613552 0.0661597157886 0.0738159955984 0.0728332997188 0.0654494216131 0.0713765398973\n'
+            'Q_row_2,0.0721347080539 0.0716390476613 0.0700259775758 0.067558949137 0.0726066405466 0.0716299613343 0.067925763391 0.0671355012554 0.0707875848714 0.066910613552 0.0661597157886 0.0738159955984 0.0728332997188 0.0654494216131 0.0713765398973\n'
+            'Q_row_3,0.0721347080539 0.0716390476611 0.070025977576 0.067558949137 0.0726066405466 0.0716299613343 0.067925763391 0.0671355012554 0.0707875848714 0.066910613552 0.0661597157886 0.0738159955984 0.0728332997188 0.0654494216131 0.0713765398973\n'
+            'Q_row_4,0.024568108636 0.0243992933915 0.0238499034769 0.0230096668653 0.0247288424777 0.0243961987111 0.0231345988525 0.0228654462279 0.0241092966495 0.0227888525094 0.022533106859 0.025140732497 0.0248060395347 0.022291190243 0.0243098867877\n'
+            'Q_row_5,0.024568108636 0.0243992933915 0.0238499034769 0.0230096668651 0.0247288424779 0.0243961987111 0.0231345988525 0.0228654462279 0.0241092966495 0.0227888525094 0.022533106859 0.025140732497 0.0248060395347 0.022291190243 0.0243098867877\n'
+            'Q_row_6,0.024568108636 0.0243992933915 0.0238499034769 0.0230096668651 0.0247288424777 0.0243961987113 0.0231345988525 0.0228654462279 0.0241092966495 0.0227888525094 0.022533106859 0.025140732497 0.0248060395347 0.022291190243 0.0243098867877\n'
+            'Q_row_7,0.0315253110536 0.0313086906709 0.0306037243993 0.0295255493986 0.03173156154 0.0313047196383 0.0296858596539 0.0293404883295 0.0309365725876 0.0292422047849 0.0289140370249 0.0322600906657 0.0318306192765 0.0286036144083 0.0311939658854\n'
+            'Q_row_8,0.0315253110536 0.0313086906709 0.0306037243993 0.0295255493986 0.03173156154 0.0313047196383 0.0296858596537 0.0293404883297 0.0309365725876 0.0292422047849 0.0289140370249 0.0322600906657 0.0318306192765 0.0286036144083 0.0311939658854\n'
+            'Q_row_9,0.0315253110536 0.0313086906709 0.0306037243993 0.0295255493986 0.03173156154 0.0313047196383 0.0296858596537 0.0293404883295 0.0309365725878 0.0292422047849 0.0289140370249 0.0322600906657 0.0318306192765 0.0286036144083 0.0311939658854\n'
+            'Q_row_10,0.0729999116798 0.0724983061993 0.0708658885055 0.0683692698457 0.0734775046612 0.0724891108884 0.0687404837712 0.0679407430131 0.0716366307294 0.0677131579447 0.0669532537058 0.0747013650517 0.0737068824461 0.0662344400656 0.0722326498447\n'
+            'Q_row_11,0.0729999116798 0.0724983061993 0.0708658885055 0.0683692698457 0.0734775046612 0.0724891108884 0.0687404837712 0.0679407430131 0.0716366307294 0.0677131579445 0.066953253706 0.0747013650517 0.0737068824461 0.0662344400656 0.0722326498447\n'
+            'Q_row_12,0.0729999116798 0.0724983061993 0.0708658885055 0.0683692698457 0.0734775046612 0.0724891108884 0.0687404837712 0.0679407430131 0.0716366307294 0.0677131579445 0.0669532537058 0.0747013650519 0.0737068824461 0.0662344400656 0.0722326498447\n'
+            'Q_row_13,0.0419001012438 0.0416121923965 0.0406752259665 0.03924223006 0.0421742275244 0.0416069145209 0.0394552974556 0.0389962665067 0.041117612491 0.0388656384389 0.0384294726434 0.0428766924054 0.0423058845662 0.0380168918114 0.0414597123744\n'
+            'Q_row_14,0.0419001012438 0.0416121923965 0.0406752259665 0.03924223006 0.0421742275244 0.0416069145209 0.0394552974556 0.0389962665067 0.041117612491 0.0388656384389 0.0384294726434 0.0428766924054 0.042305884566 0.0380168918116 0.0414597123744\n'
+            'Q_row_15,0.0419001012438 0.0416121923965 0.0406752259665 0.03924223006 0.0421742275244 0.0416069145209 0.0394552974556 0.0389962665067 0.041117612491 0.0388656384389 0.0384294726434 0.0428766924054 0.042305884566 0.0380168918114 0.0414597123746\n'
+            'perron_mu,1\n'
+            'right_vector,0.0988980651054 0.0988980651054 0.0988980651054 0.0336833470731 0.0336833470731 0.0336833470731 0.04322180472 0.04322180472 0.04322180472 0.100084275833 0.100084275833 0.100084275833 0.0574458406019 0.0574458406019 0.0574458406019\n'
+            'left_vector,1.03159164074 1.02450324832 1.00143488552 0.966154145034 1.03834070271 1.02437330562 0.971399921003 0.960098456908 1.01232655946 0.956882359122 0.946143841192 1.05563557498 1.0415821341 0.935985991334 1.02074914961\n'
+            'incommensurability,incommensurable_witness\n'
+            'witness_lengths,1.533246 2.122828\n'
+            'closest_rational,17507/24239 residual 2.00000067707e-06\n'
+        ),
+    ),
+]
+
+RING20_FIXED_LINES = {
+    'counting': [
+        'key,value',
+        'vertices,20',
+        'edges,60',
+        'strongly_connected,True',
+        'mode,counting',
+        'lambda,1.08428540597',
+        'mu_residual,3.63264973657e-13',
+        'perron_mu,1',
+        'right_vector,0.0284054296601 0.0375798387634 0.036503038333 0.0304733092977 0.0375017651359 0.0709280696828 0.0896325795761 0.076511797696 0.0362882985945 0.0212698870419 0.019239250424 0.0489512673032 0.0331757409561 0.0383366150093 0.0820261875114 0.0772731443411 0.0558161154815 0.0515288471723 0.056273489127 0.0722853288928',
+        'left_vector,1.22301233652 0.526144614083 0.074067406166 0.419531834116 0.669179892865 1.38075509363 1.79779973968 0.992898768697 1.43100207744 0.864685747641 0.70996826983 0.881293622442 1.17603597496 2.13944337059 1.13726618224 1.15160374639 0.594590516661 0.683062513597 0.651537103867 0.475635933147',
+        'incommensurability,incommensurable_witness',
+        'witness_lengths,1.318332 1.411529',
+        'closest_rational,165787/177507 residual 9.99949406832e-07',
+    ],
+    'probability': [
+        'key,value',
+        'vertices,20',
+        'edges,60',
+        'strongly_connected,True',
+        'mode,probability',
+        'lambda,-0.0893084665749',
+        'mu_residual,3.61932706028e-14',
+        'perron_mu,1',
+        'right_vector,0.0524509167422 0.0509368899312 0.049819102199 0.0508881328053 0.0503892516949 0.0489787626008 0.0475242974047 0.0474904493003 0.0504130103176 0.0519147166288 0.0525610916896 0.0491758089023 0.0516533514703 0.0530317099539 0.0488570908178 0.0485711756063 0.0488502567051 0.0489474323787 0.0494719630483 0.0480745898028',
+        'left_vector,1.7284025077 0.675276157846 0.238086996321 0.667777009407 0.535957804416 0.996955975199 1.36353444212 0.736439888567 1.34463935601 0.68781474032 1.05617720054 1.05012138803 1.19330235706 2.85671503133 1.17330897715 0.744665585201 0.235900382751 0.312290628955 1.31220907848 0.925396922648',
+        'incommensurability,incommensurable_witness',
+        'witness_lengths,1.318332 1.411529',
+        'closest_rational,165787/177507 residual 9.99949406832e-07',
+    ],
+    'edge': [
+        'key,value',
+        'vertices,20',
+        'edges,60',
+        'strongly_connected,True',
+        'mode,edge',
+        'lambda,-0.0893084665749',
+        'mu_residual,3.61932706028e-14',
+        'perron_mu,1',
+        'right_vector,0.0290463811465 0.0290463811465 0.0290463811465 0.0113482412647 0.0113482412647 0.0113482412647 0.0040011314554 0.0040011314554 0.0040011314554 0.0112222155717 0.0112222155717 0.0112222155717 0.00900694982572 0.00900694982572 0.00900694982572 0.0167541779839 0.0167541779839 0.0167541779839 0.022914651498 0.022914651498 0.022914651498 0.0123761181782 0.0123761181782 0.0123761181782 0.0225971132681 0.0225971132681 0.0225971132681 0.011558956329 0.011558956329 0.011558956329 0.017749410446 0.017749410446 0.017749410446 0.0176476404951 0.0176476404951 0.0176476404951 0.0200538444788 0.0200538444788 0.0200538444788 0.0480080497785 0.0480080497785 0.0480080497785 0.0197178490548 0.0197178490548 0.0197178490548 0.0125143537562 0.0125143537562 0.0125143537562 0.00396438468439 0.00396438468439 0.00396438468439 0.00524814827373 0.00524814827373 0.00524814827373 0.0220521116277 0.0220521116277 0.0220521116277 0.0155516042168 0.0155516042168 0.0155516042168',
+        'left_vector,1.05364562722 1.04245239605 1.02498943926 1.0452086914 1.04111563356 0.944671097418 0.963142630667 0.982148413989 1.01919051117 0.981391624496 1.06285397299 0.98384853614 1.0184585683 1.00517254808 0.974777138035 0.898425930285 0.941656255072 1.07439503218 0.906101855312 0.928800652322 0.993026878706 0.969147312614 0.94149151308 0.915276431993 0.98700828316 1.05147830383 0.961335422304 1.06878158472 1.01376997367 1.00662936074 1.03047471993 1.04187573437 1.05529295937 0.979342907965 0.995803005581 0.951056527862 1.10775395658 0.955631883751 1.01024256666 0.951349893091 1.07963912308 1.12465849838 0.913289361417 1.07289493333 0.921052853403 0.920846132267 1.07110360047 0.898274054403 0.99845385106 0.951891543254 0.956485090523 0.988330691688 0.980680077939 0.943602145634 0.913786183847 1.03219128529 0.997847600233 1.00809967858 0.938787863342 0.913786948054',
+        'incommensurability,incommensurable_witness',
+        'witness_lengths,1.318332 1.411529',
+        'closest_rational,165787/177507 residual 9.99949406832e-07',
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "graph, argv, expected",
+    ANALYZE_GOLDEN,
+    ids=[f"{g}-{a[1]}" for g, a, _ in ANALYZE_GOLDEN],
+)
+def test_analyze_golden_bytes(graph, argv, expected, tmp_path, capsys):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(ANALYZE_GRAPHS[graph]))
+    assert run(["analyze", str(path), *argv]) == 0
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("mode", ["counting", "probability", "edge"])
+def test_analyze_ring20_q_and_fixed_lines(mode, tmp_path, capsys):
+    # At n >= 20 the last printed digit of some Q entries depends on how the
+    # adjugate is computed, so Q is checked against the cofactor expansion
+    # and every other line is frozen.
+    spec = ring_spec(20, 20, 0.9)
+    path = tmp_path / "ring20.json"
+    path.write_text(json.dumps(spec))
+    assert run(["analyze", str(path), "--mode", mode, "--format", "csv"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if not line.startswith("Q_row_")] == RING20_FIXED_LINES[mode]
+    q = np.array(
+        [[float(v) for v in line.split(",")[1].split()]
+         for line in lines if line.startswith("Q_row_")]
+    )
+    f = MatrixFunction(build_graph(spec), Mode(mode))
+    lam = solve_lambda(f).lam
+    adj = cofactor_adjugate(np.eye(f.dimension) - f.evaluate(lam))
+    expected = adj / -np.trace(adj @ f.evaluate_derivative(lam))
+    assert np.max(np.abs(q - expected)) <= 1e-10 * np.max(np.abs(expected))
