@@ -267,12 +267,13 @@ def survival_exact(
     the not-yet-exited mass.
     """
     _require_probabilities(g)
+    exits = {
+        v: [(e.probability, e.length) for e in g.out_edges(v)]
+        for v in range(1, g.vertex_count + 1)
+    }
 
     def terms(grid, length, vertex, cnt, mass):
-        return [
-            (mass * e.probability, bisect_left(grid, length + e.length))
-            for e in g.out_edges(vertex)
-        ]
+        return [(mass * p, bisect_left(grid, length + l)) for p, l in exits[vertex]]
 
     return _sweep(g, i, time, max_paths, terms, 0.0)
 

@@ -5,14 +5,17 @@ variable s whose (i, j) entry sums e^(-s*l) over the edges i -> j, optionally
 weighted by transition probabilities (vertex or edge based).  The critical
 exponent ``lambda`` is the unique real s at which the dominant eigenvalue of
 that matrix equals 1; the rank-one coefficient matrix Q collects the leading
-asymptotic constants.  Everything here is dense; target sizes are small
-(n up to ~100), so robustness wins over asymptotic speed.
+asymptotic constants.  Everything here is dense and O(n^3) per matrix: M(s)
+is assembled from precomputed term arrays, the sparsity pattern is checked
+once per solve, and the adjugate behind Q comes from one SVD, so n in the
+hundreds stays interactive.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -96,41 +99,49 @@ class MatrixFunction:
             return self.graph.edge_count
         return self.graph.vertex_count
 
-    def _terms(self):
-        """(row, col, weight, length) for every matrix term."""
+    @cached_property
+    def _term_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Flat index (row * dimension + col), weight and length of every term."""
         g = self.graph
-        if self.mode is Mode.COUNTING:
-            return [(e.source - 1, e.target - 1, 1.0, e.length) for e in g.edges]
-        if self.mode is Mode.PROBABILITY:
-            return [
-                (e.source - 1, e.target - 1, e.probability, e.length) for e in g.edges
+        if self.mode is Mode.EDGE:
+            # Edge-based walk: entry (beta, alpha) is the probability of picking
+            # beta after traversing alpha, times e^(-s*l(alpha)); beta must leave
+            # the vertex where alpha ends.
+            terms = [
+                (beta.id, alpha.id, beta.probability, alpha.length)
+                for alpha in g.edges
+                for beta in g.out_edges(alpha.target)
             ]
-        # Edge-based walk: entry (beta, alpha) is the probability of picking
-        # beta after traversing alpha, times e^(-s*l(alpha)); beta must leave
-        # the vertex where alpha ends.
-        terms = []
-        for alpha in g.edges:
-            for beta in g.out_edges(alpha.target):
-                terms.append((beta.id, alpha.id, beta.probability, alpha.length))
-        return terms
+        else:
+            counting = self.mode is Mode.COUNTING
+            terms = [
+                (e.source - 1, e.target - 1, 1.0 if counting else e.probability, e.length)
+                for e in g.edges
+            ]
+        rows, cols, weights, lengths = zip(*terms) if terms else ((),) * 4
+        flat = np.asarray(rows, dtype=np.intp) * self.dimension + np.asarray(cols, dtype=np.intp)
+        return flat, np.asarray(weights, dtype=float), np.asarray(lengths, dtype=float)
+
+    def _assemble(self, values: np.ndarray) -> np.ndarray:
+        # np.add.at is unbuffered and adds in term order, so parallel edges
+        # sum exactly as a per-term loop would.
+        dim = self.dimension
+        m = np.zeros(dim * dim, dtype=values.dtype)
+        np.add.at(m, self._term_arrays[0], values)
+        return m.reshape(dim, dim)
 
     def evaluate(self, s) -> np.ndarray:
         real = np.imag(s) == 0
         s = float(np.real(s)) if real else complex(s)
-        dim = self.dimension
-        m = np.zeros((dim, dim), dtype=float if real else complex)
-        for i, j, w, length in self._terms():
-            m[i, j] += w * np.exp(-s * length)
-        return m
+        _, w, l = self._term_arrays
+        return self._assemble(w * np.exp(-s * l))
 
     def evaluate_derivative(self, s) -> np.ndarray:
         real = np.imag(s) == 0
         s = float(np.real(s)) if real else complex(s)
-        dim = self.dimension
-        m = np.zeros((dim, dim), dtype=float if real else complex)
-        for i, j, w, length in self._terms():
-            m[i, j] += -length * w * np.exp(-s * length)
-        return m
+        _, w, l = self._term_arrays
+        # (-l * w) first: the per-term product order, so the bits agree.
+        return self._assemble((-l * w) * np.exp(-s * l))
 
 
 # -- Perron-Frobenius ------------------------------------------------------------
@@ -190,9 +201,14 @@ def perron_eigen(a, tol: float = 1e-13, max_iter: int = 500) -> PerronData:
     connected, DidNotConverge when the bracket fails to close.
     """
     a = _check_square_nonnegative(a)
-    n = a.shape[0]
     if not _is_irreducible(a):
         raise NotIrreducible("matrix sparsity pattern is not strongly connected")
+    return _perron(a, tol, max_iter)
+
+
+def _perron(a: np.ndarray, tol: float = 1e-13, max_iter: int = 500) -> PerronData:
+    """:func:`perron_eigen` for a non-negative float matrix already known irreducible."""
+    n = a.shape[0]
     if n == 1:
         mu = float(a[0, 0])
         one = np.array([1.0])
@@ -239,11 +255,14 @@ def perron_eigen(a, tol: float = 1e-13, max_iter: int = 500) -> PerronData:
 
 
 def adjugate(a) -> np.ndarray:
-    """Classical adjoint: transpose of the cofactor matrix.
+    """Classical adjoint: transpose of the cofactor matrix, from one SVD.
 
-    Cofactor expansion with one LU-backed determinant per minor, O(n^5).
-    Exact where inverse-based shortcuts fail, i.e. on singular input;
-    adj of a 1x1 matrix is [[1]] by convention.
+    With A = U diag(s) V^H, adj(A) = det(U) det(V^H) V diag(p) U^H, where
+    p_i is the product of every singular value but s_i.  The p_i come from
+    prefix and suffix cumulative products, never from dividing det(A) by
+    s_i, so singular input stays exact: rank n-1 gives the rank-one
+    adjugate, lower rank gives 0.  O(n^3); real or complex input; adj of a
+    1x1 matrix is [[1]] by convention.
     """
     a = np.asarray(a, dtype=complex if np.iscomplexobj(a) else float)
     n = a.shape[0]
@@ -251,14 +270,14 @@ def adjugate(a) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if n == 1:
         return np.ones((1, 1), dtype=a.dtype)
-    out = np.empty_like(a)
-    rows = np.arange(n)
-    for i in range(n):
-        keep_r = rows != i
-        for j in range(n):
-            minor = a[np.ix_(keep_r, rows != j)]
-            out[j, i] = (-1) ** (i + j) * np.linalg.det(minor)
-    return out
+    u, s, vh = np.linalg.svd(a)
+    prefix = np.concatenate(([1.0], np.cumprod(s[:-1])))
+    suffix = np.concatenate((np.cumprod(s[:0:-1])[::-1], [1.0]))
+    # det(U) det(V^H) has modulus 1; dividing out its rounded modulus makes
+    # it exactly +-1 for real input.
+    phase = np.linalg.det(u) * np.linalg.det(vh)
+    phase /= abs(phase)
+    return phase * ((vh.conj().T * (prefix * suffix)) @ u.conj().T)
 
 
 def _charpoly_derivative_at(a: np.ndarray, x: float) -> float:
@@ -341,7 +360,9 @@ def perron_projection(a, method: str = ADJUGATE) -> np.ndarray:
 
 
 def _spectral_radius(f: MatrixFunction, sigma: float) -> float:
-    return perron_eigen(f.evaluate(sigma)).mu
+    # Weights are > 0 and e^(-sigma*l) > 0, so the sparsity pattern, checked
+    # once in solve_lambda, is the same at every sigma.
+    return _perron(f.evaluate(sigma)).mu
 
 
 def solve_lambda(f: MatrixFunction) -> SpectralSolution:
@@ -358,7 +379,10 @@ def solve_lambda(f: MatrixFunction) -> SpectralSolution:
         )
     ceiling = BRACKET_CEILING / f.graph.min_edge_length()
 
-    mu0 = _spectral_radius(f, 0.0)
+    m0 = f.evaluate(0.0)
+    if not _is_irreducible(m0):
+        raise NotIrreducible("matrix sparsity pattern is not strongly connected")
+    mu0 = _perron(m0).mu
     if f.mode is Mode.COUNTING:
         if mu0 < 1.0 - MU_TOLERANCE:
             raise BracketFailure(
@@ -406,7 +430,7 @@ def solve_lambda(f: MatrixFunction) -> SpectralSolution:
                 MAX_BISECTIONS, f"bisection stalled on [{lo!r}, {hi!r}]"
             )
 
-    perron = perron_eigen(f.evaluate(lam))
+    perron = _perron(f.evaluate(lam))
     return SpectralSolution(
         function=f,
         lam=lam,
@@ -434,9 +458,11 @@ def critical_line_scan(f: MatrixFunction, lam: float, t_grid) -> np.ndarray:
 def q_matrix(f: MatrixFunction, lam: float) -> np.ndarray:
     """Coefficient matrix adj(I - M(lam)) / (-tr(adj(I - M(lam)) M'(lam))).
 
-    Equals the residue at lam of adj(I - M(s))_ij / det(I - M(s)).  Requires
-    mu(lam) = 1; raises SingularDenominator when the trace term vanishes,
-    which signals that lam is not a simple root.
+    Equals the residue at lam of adj(I - M(s))_ij / det(I - M(s)).  The
+    adjugate comes from one SVD (see :func:`adjugate`), which stays exact at
+    lam, where I - M(lam) is singular, so the whole matrix costs O(n^3).
+    Requires mu(lam) = 1; raises SingularDenominator when the trace term
+    vanishes, which signals that lam is not a simple root.
     """
     m = f.evaluate(lam)
     mprime = f.evaluate_derivative(lam)

@@ -6,8 +6,14 @@ Claims covered:
       differences
     - perron_eigen returns the hand-solved eigen-data on 2x2 cases, certifies
       positivity, and rejects reducible input
+    - M(s) and M'(s) equal a per-term loop bit for bit, real and complex s,
+      in every mode, on graphs with loops and parallel edges
     - adjugate matches the 2x2 cofactor formula, the 1x1 convention, and
-      A adj(A) = det(A) I on random (including singular) matrices
+      A adj(A) = det(A) I on random (including singular) matrices, and a
+      literal cofactor expansion on real, complex, rank-deficient and
+      I - M(lam) input
+    - solve_lambda checks the sparsity pattern once and keeps its sequence
+      of Perron solves
     - all four Perron projection routes agree, are idempotent with unit
       trace, and power-limit rejects periodic input
     - the exponent solve lands on the two-vertex example (lam = 1), on
@@ -25,6 +31,7 @@ import numpy as np
 import pytest
 
 from orbitcount import build_graph
+from orbitcount import spectral
 from orbitcount.errors import (
     MissingProbabilities,
     NotIrreducible,
@@ -45,6 +52,8 @@ from orbitcount.spectral import (
     q_matrix,
     solve_lambda,
 )
+
+from conftest import cofactor_adjugate, ring_spec, two_vertex_spec
 
 Q_SCALE = 6.0 / math.log(432.0)
 
@@ -129,6 +138,51 @@ def test_edge_matrix_structure(two_vertex_stochastic):
     assert f.evaluate(0.0).sum(axis=0) == pytest.approx(np.ones(4))
 
 
+def _per_term_matrix(f, s, derivative=False):
+    """M(s) or M'(s) summed one term at a time, as the definition reads."""
+    g = f.graph
+    if f.mode is Mode.EDGE:
+        terms = [
+            (beta.id, alpha.id, beta.probability, alpha.length)
+            for alpha in g.edges
+            for beta in g.out_edges(alpha.target)
+        ]
+    else:
+        terms = [
+            (e.source - 1, e.target - 1,
+             1.0 if f.mode is Mode.COUNTING else e.probability, e.length)
+            for e in g.edges
+        ]
+    real = np.imag(s) == 0
+    s = float(np.real(s)) if real else complex(s)
+    m = np.zeros((f.dimension, f.dimension), dtype=float if real else complex)
+    for i, j, w, length in terms:
+        if derivative:
+            m[i, j] += -length * w * np.exp(-s * length)
+        else:
+            m[i, j] += w * np.exp(-s * length)
+    return m
+
+
+def test_evaluate_bit_identical_to_per_term_loop():
+    graphs = [build_graph(two_vertex_spec(probability=0.45)), build_graph(ring_spec(1, 12, 0.9))]
+    for g in graphs:
+        pairs = [(e.source, e.target) for e in g.edges]
+        assert len(set(pairs)) < len(pairs)  # parallel edges
+    assert any(e.source == e.target for e in graphs[1].edges)  # loops
+    rng = np.random.default_rng(41)
+    points = [0.0, 1.0, -0.3, 0.7 + 2.5j, complex(rng.uniform(-1, 2), rng.uniform(-9, 9))]
+    for g in graphs:
+        for mode in Mode:
+            f = MatrixFunction(g, mode)
+            for s in points:
+                for derivative in (False, True):
+                    got = f.evaluate_derivative(s) if derivative else f.evaluate(s)
+                    want = _per_term_matrix(f, s, derivative)
+                    assert got.dtype == want.dtype
+                    assert np.array_equal(got, want)
+
+
 # -- Perron-Frobenius ---------------------------------------------------------
 
 
@@ -198,6 +252,65 @@ def test_adjugate_product_identity_on_random_and_singular():
         scale = max(1.0, np.max(np.abs(a)) ** (n - 1))
         assert np.max(np.abs(a @ adj - det * np.eye(n))) <= 1e-9 * scale
         assert np.max(np.abs(adj @ a - det * np.eye(n))) <= 1e-9 * scale
+
+
+def _assert_matches_cofactors(a, rel=1e-13):
+    got, want = adjugate(a), cofactor_adjugate(a)
+    assert got.dtype == want.dtype
+    assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+
+
+def test_adjugate_matches_cofactor_expansion():
+    rng = np.random.default_rng(29)
+    for n in range(2, 9):
+        _assert_matches_cofactors(rng.normal(size=(n, n)))
+        _assert_matches_cofactors(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        # Rank n - 1: the adjugate is rank one and nonzero.
+        a = rng.normal(size=(n, n - 1)) @ rng.normal(size=(n - 1, n))
+        _assert_matches_cofactors(a)
+
+
+def test_adjugate_of_rank_n_minus_2_is_zero():
+    rng = np.random.default_rng(37)
+    for n in range(3, 9):
+        for dtype in (float, complex):
+            left, right = rng.normal(size=(n, n - 2)), rng.normal(size=(n - 2, n))
+            if dtype is complex:
+                left = left + 1j * rng.normal(size=(n, n - 2))
+                right = right + 1j * rng.normal(size=(n - 2, n))
+            a = left @ right
+            scale = np.linalg.norm(a, 2) ** (n - 1)
+            assert np.max(np.abs(adjugate(a))) <= 1e-13 * scale
+            assert np.max(np.abs(cofactor_adjugate(a))) <= 1e-13 * scale
+
+
+def test_adjugate_at_lambda_matches_cofactors_n30():
+    f = MatrixFunction(build_graph(ring_spec(30, 30, 0.9)), Mode.COUNTING)
+    lam = solve_lambda(f).lam
+    _assert_matches_cofactors(np.eye(30) - f.evaluate(lam))
+
+
+def test_solve_lambda_checks_pattern_once(monkeypatch):
+    checks, solves = [], []
+    is_irreducible, perron = spectral._is_irreducible, spectral._perron
+    monkeypatch.setattr(spectral, "_is_irreducible", lambda a: checks.append(1) or is_irreducible(a))
+    monkeypatch.setattr(spectral, "_perron", lambda a: solves.append(1) or perron(a))
+    g = build_graph(ring_spec(20, 20, 0.9))
+    for mode in Mode:
+        checks.clear()
+        solve_lambda(MatrixFunction(g, mode))
+        assert len(checks) == 1
+    # The bisection itself is unchanged: the same Perron solves as when
+    # every solve re-checked the pattern (bracket, bisection, final).
+    solves.clear()
+    solve_lambda(MatrixFunction(g, Mode.COUNTING))
+    assert len(solves) == 43
+
+
+def test_solve_lambda_pattern_check_raises(monkeypatch, two_vertex):
+    monkeypatch.setattr(spectral, "_is_irreducible", lambda a: False)
+    with pytest.raises(NotIrreducible):
+        solve_lambda(MatrixFunction(two_vertex, Mode.COUNTING))
 
 
 # -- Perron projection -----------------------------------------------------------
@@ -279,8 +392,6 @@ def test_half_probability_loop_lambda(half_loop):
 
 
 def test_substochastic_two_vertex_negative_lambda():
-    from conftest import two_vertex_spec
-
     g = build_graph(two_vertex_spec(probability=0.25))
     sol_n = solve_lambda(MatrixFunction(g, Mode.PROBABILITY))
     assert sol_n.lam < 0
