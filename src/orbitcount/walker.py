@@ -9,7 +9,15 @@ edge occupancy follows the half-open convention, matching the exact oracle.
 Randomness comes from the counter-based Philox generator keyed by the caller
 seed.  Ensemble run r consumes the uniform block [r*K, (r+1)*K) of that
 stream (K = the per-run draw budget), which makes runs independent,
-reproducible bit-for-bit, and insensitive to batching.
+reproducible bit-for-bit, and insensitive to batching.  A horizon whose K
+exceeds the uniforms held per batch is rejected before any draw.
+
+One step moves every walker at once, whatever its vertex.  Padded tables
+give each vertex a row of cumulative probabilities (+inf past its out-degree)
+and a row of slots (its out-edges, then an exit slot of length +inf), so the
+chosen slot is the row start plus the count of cumulative entries <= u:
+the comparison ``searchsorted(side="right")`` makes.  Walkers that stop are
+compacted out of the moving set, and only their final states are written.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MissingProbabilities
+from .errors import MissingProbabilities, ValidationError
 from .graph import WeightedDigraph
 
 ON_EDGE = "on_edge"
@@ -71,28 +79,43 @@ def merge_estimates(a: EnsembleEstimate, b: EnsembleEstimate) -> EnsembleEstimat
     )
 
 
-def _vertex_tables(g: WeightedDigraph):
+def _walk_tables(g: WeightedDigraph):
+    """Cumulative columns ``cum[j, v]`` (+inf past v's out-degree; columns
+    >= 1 everywhere, which no u < 1 reaches, dropped) and flat per-slot
+    ``length``/``target``/``ids`` arrays, ``width`` slots per vertex row.
+    """
     if not g.has_probabilities:
         raise MissingProbabilities("the walk needs a probability-annotated graph")
-    tables = {}
-    for v in range(1, g.vertex_count + 1):
+    rows = g.vertex_count + 1  # row 0 is unused padding
+    width = max(len(g.out_edges(v)) for v in range(1, rows)) + 1
+    cum = np.full((width - 1, rows), np.inf)
+    length = np.full((rows, width), np.inf)
+    target = np.zeros((rows, width), dtype=np.int64)
+    ids = np.full((rows, width), -1, dtype=np.int64)
+    for v in range(1, rows):
         edges = g.out_edges(v)
-        cum = np.cumsum([e.probability for e in edges]) if edges else np.zeros(0)
-        if len(cum) and abs(cum[-1] - 1.0) <= STOCHASTIC_SLACK:
-            cum[-1] = 1.0
-        tables[v] = (
-            cum,
-            np.array([e.length for e in edges]),
-            np.array([e.target for e in edges], dtype=np.int64),
-            np.array([e.id for e in edges], dtype=np.int64),
-        )
-    return tables
+        k = len(edges)
+        if k:
+            c = np.cumsum([e.probability for e in edges])
+            if abs(c[-1] - 1.0) <= STOCHASTIC_SLACK:
+                c[-1] = 1.0
+            cum[:k, v] = c
+            length[v, :k] = [e.length for e in edges]
+            target[v, :k] = [e.target for e in edges]
+            ids[v, :k] = [e.id for e in edges]
+    cum = cum[(cum < 1.0).any(axis=1)]
+    return cum, width, length.ravel(), target.ravel(), ids.ravel()
 
 
 def _draw_budget(g: WeightedDigraph, horizon: float) -> int:
     # One uniform per vertex decision; every full traversal advances at least
     # the minimum edge length, plus one final (partial or exit) decision.
-    return int(horizon / g.min_edge_length()) + 2
+    traversals = horizon / g.min_edge_length()
+    if not traversals < _BATCH_DRAWS - 1:  # also an infinite or NaN horizon
+        raise ValidationError(
+            f"horizon {horizon!r} needs more than {_BATCH_DRAWS} uniform draws per walk"
+        )
+    return int(traversals) + 2
 
 
 def simulate_walk(g: WeightedDigraph, start: int, horizon: float, seed: int) -> WalkOutcome:
@@ -126,7 +149,8 @@ def _ensemble_outcomes(g: WeightedDigraph, start: int, horizon: float, n: int, s
         raise ValueError("horizon must be >= 0")
     if n < 1:
         raise ValueError("sample count must be >= 1")
-    tables = _vertex_tables(g)
+    g.out_edges(start)  # IndexOutOfRange for a start outside 1..n
+    cum, width, length, target, ids = _walk_tables(g)
     k_draws = _draw_budget(g, horizon)
     batch = max(1, _BATCH_DRAWS // k_draws)
     rng = np.random.Generator(np.random.Philox(seed))
@@ -134,42 +158,40 @@ def _ensemble_outcomes(g: WeightedDigraph, start: int, horizon: float, n: int, s
     while done < n:
         size = min(batch, n - done)
         uniforms = rng.random((size, k_draws))
-        vertex = np.full(size, start, dtype=np.int64)
-        t = np.zeros(size)
-        status = np.full(size, -1, dtype=np.int8)  # -1 while walking
+        # Final states, written when a walker stops; at T = 0 nobody moves.
+        status = np.zeros(size, dtype=np.int8)
         edge_id = np.full(size, -1, dtype=np.int64)
+        vertex = np.full(size, start, dtype=np.int64)
+        times = np.zeros(size)
+        # The walkers still moving: their indices (None while that is all of
+        # them), vertices and arrival times.
+        idx = None
+        v = np.full(size if horizon > 0.0 else 0, start, dtype=np.int64)
+        t = np.zeros(v.size)
         for step in range(k_draws):
-            walking = status == -1
-            if not walking.any():
+            if v.size == 0:
                 break
-            at_horizon = walking & (t == horizon)
-            status[at_horizon] = 0
-            walking &= ~at_horizon
-            # Snapshot the positions so each walker takes exactly one
-            # decision per step, even after moving to a not-yet-visited vertex.
-            positions = np.where(walking, vertex, -1)
-            for v, (cum, lengths, targets, ids) in tables.items():
-                idx = np.where(positions == v)[0]
-                if idx.size == 0:
-                    continue
-                choice = np.searchsorted(cum, uniforms[idx, step], side="right")
-                exits = choice == len(cum)
-                status[idx[exits]] = 2
-                moves = idx[~exits]
-                picked = choice[~exits]
-                arrival = t[moves] + lengths[picked]
-                onto = arrival > horizon
-                stopped = moves[onto]
-                status[stopped] = 1
-                edge_id[stopped] = ids[picked[onto]]
-                go = moves[~onto]
-                vertex[go] = targets[picked[~onto]]
-                t[go] = arrival[~onto]
-        leftover = status == -1
-        if leftover.any() and bool((t[leftover] < horizon).any()):
+            u = uniforms[:, step] if idx is None else uniforms[idx, step]
+            slot = v * width
+            for column in cum:  # the edge searchsorted(side="right") picks
+                slot += column.take(v) <= u
+            arrival = t + length.take(slot)
+            stop = arrival >= horizon
+            if stop.any():
+                if idx is None:
+                    idx = np.arange(size)
+                who, a, e = idx[stop], arrival[stop], ids[slot[stop]]
+                over = a > horizon  # on the edge or exited; else at a vertex at T
+                status[who] = np.where(e < 0, 2, over)
+                edge_id[who] = np.where(over, e, -1)
+                vertex[who] = np.where(over, v[stop], target[slot[stop]])
+                times[who] = np.where(over, t[stop], a)
+                keep = np.flatnonzero(~stop)
+                idx, slot, arrival = idx.take(keep), slot.take(keep), arrival.take(keep)
+            v, t = target.take(slot), arrival
+        if v.size:
             raise AssertionError("draw budget exhausted; walk logic violated its bound")
-        status[leftover] = 0  # walkers sitting at a vertex exactly at T
-        yield status, edge_id, vertex, t
+        yield status, edge_id, vertex, times
         done += size
 
 

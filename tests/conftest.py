@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from orbitcount import build_graph
+from orbitcount import build_graph, walker
 
 
 def two_vertex_spec(probability=None):
@@ -60,6 +60,86 @@ def cofactor_adjugate(a):
             minor = a[np.ix_(rows != i, rows != j)]
             out[j, i] = (-1) ** (i + j) * np.linalg.det(minor)
     return out
+
+
+def loop_ensemble_outcomes(g, start, horizon, n, seed):
+    """The walk ensemble stepped with a Python loop over the vertices.
+
+    The literal per-vertex kernel, kept as the oracle for the library's
+    padded-table step: same Philox stream, draw budget and batching, and the
+    same (status, edge_id, vertex, time) arrays batch by batch.
+    """
+    tables = {}
+    for v in range(1, g.vertex_count + 1):
+        edges = g.out_edges(v)
+        cum = np.cumsum([e.probability for e in edges]) if edges else np.zeros(0)
+        if len(cum) and abs(cum[-1] - 1.0) <= walker.STOCHASTIC_SLACK:
+            cum[-1] = 1.0
+        tables[v] = (
+            cum,
+            np.array([e.length for e in edges]),
+            np.array([e.target for e in edges], dtype=np.int64),
+            np.array([e.id for e in edges], dtype=np.int64),
+        )
+    k_draws = walker._draw_budget(g, horizon)
+    batch = max(1, walker._BATCH_DRAWS // k_draws)
+    rng = np.random.Generator(np.random.Philox(seed))
+    done = 0
+    while done < n:
+        size = min(batch, n - done)
+        uniforms = rng.random((size, k_draws))
+        vertex = np.full(size, start, dtype=np.int64)
+        t = np.zeros(size)
+        status = np.full(size, -1, dtype=np.int8)  # -1 while walking
+        edge_id = np.full(size, -1, dtype=np.int64)
+        for step in range(k_draws):
+            walking = status == -1
+            if not walking.any():
+                break
+            at_horizon = walking & (t == horizon)
+            status[at_horizon] = 0
+            walking &= ~at_horizon
+            # Snapshot the positions so each walker takes exactly one
+            # decision per step, even after moving to a not-yet-visited vertex.
+            positions = np.where(walking, vertex, -1)
+            for v, (cum, lengths, targets, ids) in tables.items():
+                idx = np.where(positions == v)[0]
+                if idx.size == 0:
+                    continue
+                choice = np.searchsorted(cum, uniforms[idx, step], side="right")
+                exits = choice == len(cum)
+                status[idx[exits]] = 2
+                moves = idx[~exits]
+                picked = choice[~exits]
+                arrival = t[moves] + lengths[picked]
+                onto = arrival > horizon
+                stopped = moves[onto]
+                status[stopped] = 1
+                edge_id[stopped] = ids[picked[onto]]
+                go = moves[~onto]
+                vertex[go] = targets[picked[~onto]]
+                t[go] = arrival[~onto]
+        leftover = status == -1
+        if leftover.any() and bool((t[leftover] < horizon).any()):
+            raise AssertionError("draw budget exhausted; walk logic violated its bound")
+        status[leftover] = 0  # walkers sitting at a vertex exactly at T
+        yield status, edge_id, vertex, t
+        done += size
+
+
+def assert_matches_loop_kernel(g, start, horizon, n, seed):
+    """Assert the library's ensemble equals the loop reference, batch by batch.
+
+    Every array must match bit for bit and in dtype; returns the statuses.
+    """
+    got = list(walker._ensemble_outcomes(g, start, horizon, n, seed))
+    want = list(loop_ensemble_outcomes(g, start, horizon, n, seed))
+    assert len(got) == len(want)
+    for batch, expected in zip(got, want):
+        for a, b in zip(batch, expected):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
+    return np.concatenate([batch[0] for batch in got])
 
 
 @pytest.fixture

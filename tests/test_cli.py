@@ -8,7 +8,7 @@ Claims covered:
     - kakutani and subst cover the partitions, discrepancy table and rule
       verification; laplace covers values and the residue scan
     - outputs are byte-for-byte deterministic given the same invocation;
-      analyze, count and prob outputs are frozen as golden bytes
+      analyze, count, prob and walk outputs are frozen as golden bytes
     - exit codes: 1 validation, 2 numerical failure, 3 budget overflow
     - a parsed-then-serialized graph reparses identically
 """
@@ -162,6 +162,16 @@ def test_kakutani_needs_rule(capsys):
 
 def test_walk_needs_estimand(stochastic_path, capsys):
     assert run(["walk", stochastic_path, "--from", "1", "--T", "2.5"]) == 1
+
+
+def test_walk_unbounded_horizon_and_bad_start_exit_1(stochastic_path, capsys):
+    # T = 1e300 would need ~2.5e300 uniform draws per walk; a start outside
+    # 1..2 has nowhere to walk.  Both fail validation before any draw.
+    base = ["walk", stochastic_path, "--survival", "-n", "10"]
+    assert run([*base, "--from", "1", "--T", "1e300"]) == 1
+    assert "uniform draws per walk" in capsys.readouterr().err
+    assert run([*base, "--from", "3", "--T", "2.5"]) == 1
+    assert "outside 1..2" in capsys.readouterr().err
 
 
 def test_subst_verifies_rule(rule_path, capsys):
@@ -737,3 +747,98 @@ def test_analyze_ring20_q_and_fixed_lines(mode, tmp_path, capsys):
     adj = cofactor_adjugate(np.eye(f.dimension) - f.evaluate(lam))
     expected = adj / -np.trace(adj @ f.evaluate_derivative(lam))
     assert np.max(np.abs(q - expected)) <= 1e-10 * np.max(np.abs(expected))
+
+
+# -- golden bytes for walk ------------------------------------------------------------
+
+WALK_GRAPHS = {
+    "p09": two_vertex_spec(probability=0.45),
+    "p1": two_vertex_spec(probability=0.5),
+    "ring20": ring_spec(20, 20, 0.9),
+    "ring50": ring_spec(50, 50, 1.0),
+}
+# Unsorted, with T = 0 and the arrival time 2 log 2 of the path alpha alpha.
+WALK_T = f"7.3,0,{2 * math.log(2)!r},2.5,10.3"
+
+# Exact stdout of walk queries, frozen while each step still looped over the
+# vertices; the walks are bit-identical, so any change to a digit is a
+# regression.  At T = 30.3 a batch holds 27,594 two-vertex walkers, so the
+# n = 60000 query spans three batches.
+WALK_GOLDEN = [
+    (
+        'p09',
+        ['--survival', '--T', WALK_T, '-n', '20000', '--seed', '7'],
+        (
+            'T,estimate,stderr,n,seed\n'
+            '0,1,0,20000,7\n'
+            '1.38629436112,0.79255,0.00286718064917,20000,7\n'
+            '2.5,0.6342,0.00340580651241,20000,7\n'
+            '7.3,0.3222,0.00330444518792,20000,7\n'
+            '10.3,0.21055,0.00288286920879,20000,7\n'
+        ),
+    ),
+    (
+        'p09',
+        ['--edge', 'beta', '--T', WALK_T, '-n', '20000', '--seed', '8', '--format', 'jsonl'],
+        (
+            '{"T": 0.0, "estimate": 0.0, "stderr": 0.0, "n": 20000, "seed": 8}\n'
+            '{"T": 1.38629436112, "estimate": 0.09195, "stderr": 0.00204322291368, "n": 20000, "seed": 8}\n'
+            '{"T": 2.5, "estimate": 0.19625, "stderr": 0.00280834415181, "n": 20000, "seed": 8}\n'
+            '{"T": 7.3, "estimate": 0.10725, "stderr": 0.00218800636996, "n": 20000, "seed": 8}\n'
+            '{"T": 10.3, "estimate": 0.06435, "stderr": 0.00173506595696, "n": 20000, "seed": 8}\n'
+        ),
+    ),
+    (
+        'p1',
+        ['--edge', 'alpha', '--T', WALK_T, '-n', '20000', '--seed', '9'],
+        (
+            'T,estimate,stderr,n,seed\n'
+            '0,0,0,20000,9\n'
+            '1.38629436112,0.1244,0.00233371634952,20000,9\n'
+            '2.5,0.31365,0.00328080536987,20000,9\n'
+            '7.3,0.33475,0.00333685808434,20000,9\n'
+            '10.3,0.317,0.00329022035736,20000,9\n'
+        ),
+    ),
+    (
+        'p1',
+        ['--edge', 'gamma2', '--T', '10.3,30.3', '-n', '60000', '--seed', '31'],
+        (
+            'T,estimate,stderr,n,seed\n'
+            '10.3,0.267233333333,0.00180656063137,60000,31\n'
+            '30.3,0.256966666667,0.00178388526765,60000,31\n'
+        ),
+    ),
+    (
+        'ring20',
+        ['--survival', '--T', '0,4.5,8.3,12.1', '-n', '20000', '--seed', '5'],
+        (
+            'T,estimate,stderr,n,seed\n'
+            '0,1,0,20000,5\n'
+            '4.5,0.65,0.00337268439081,20000,5\n'
+            '8.3,0.46395,0.00352633235459,20000,5\n'
+            '12.1,0.334,0.00333499625187,20000,5\n'
+        ),
+    ),
+    (
+        'ring50',
+        ['--edge', '0', '--T', '5.5,11.3', '-n', '20000', '--seed', '6', '--format', 'pretty'],
+        (
+            'T     estimate  stderr             n      seed\n'
+            '5.5   0.01065   0.000725829783765  20000  6   \n'
+            '11.3  0.00775   0.000620078120078  20000  6   \n'
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "graph, argv, expected",
+    WALK_GOLDEN,
+    ids=[f"{g}-{a[0]}-{k}" for k, (g, a, _) in enumerate(WALK_GOLDEN)],
+)
+def test_walk_golden_bytes(graph, argv, expected, tmp_path, capsys):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(WALK_GRAPHS[graph]))
+    assert run(["walk", str(path), "--from", "1", *argv]) == 0
+    assert capsys.readouterr().out == expected

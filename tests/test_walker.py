@@ -4,6 +4,10 @@ Claims covered:
     - identical inputs reproduce identical outcomes and estimates bit for bit
     - a single walk is run 0 of the vectorized ensemble: it matches a walk
       stepped by hand from the same uniforms
+    - the padded-table ensemble step yields the same arrays, bit for bit and
+      batch by batch, as the per-vertex loop kept in conftest
+    - a horizon whose draw budget exceeds one batch, or a start vertex
+      outside the graph, is a validation error raised before any draw
     - the probability-1 loop walk is deterministic: on-edge with the right
       offset, at-vertex at integer times and at T=0
     - ensemble survival and edge-occupation frequencies agree with the exact
@@ -19,7 +23,8 @@ import math
 import numpy as np
 import pytest
 
-from orbitcount import build_graph
+from orbitcount import build_graph, walker
+from orbitcount.errors import IndexOutOfRange, ValidationError
 from orbitcount.oracle import edge_probability_exact, survival_exact
 from orbitcount.walker import (
     AT_VERTEX,
@@ -33,7 +38,7 @@ from orbitcount.walker import (
     simulate_walk,
 )
 
-from conftest import two_vertex_spec
+from conftest import assert_matches_loop_kernel, ring_spec, two_vertex_spec
 
 
 def test_unit_loop_walk_is_deterministic(unit_loop):
@@ -106,6 +111,82 @@ def test_single_walk_is_run_zero_of_the_ensemble():
             assert out == _literal_walk(g, 1, horizon, seed)
             statuses.add(out.status)
     assert statuses == {AT_VERTEX, ON_EDGE, EXITED}
+
+
+# Out-degrees 3, 1, 0 and 2; vertex 2 is sub-stochastic between stochastic
+# vertices 1 and 4, vertex 3 has no way out.  Dyadic lengths put many walkers
+# exactly at a vertex at T = 3 and T = 4.5.
+RAGGED_SPEC = {
+    "vertices": 4,
+    "edges": [
+        {"from": 1, "to": 1, "length": 0.5, "probability": 0.2},
+        {"from": 1, "to": 2, "length": 1.0, "probability": 0.3},
+        {"from": 1, "to": 4, "length": 1.5, "probability": 0.5},
+        {"from": 2, "to": 1, "length": 0.5, "probability": 0.6},
+        {"from": 4, "to": 1, "length": 2.0, "probability": 0.5},
+        {"from": 4, "to": 3, "length": 1.0, "probability": 0.5},
+    ],
+}
+KERNEL_CASES = {
+    "ragged": (RAGGED_SPEC, 1, (0.0, 3.0, 4.5, 7.3)),
+    "ragged-from-3": (RAGGED_SPEC, 3, (0.0, 2.0)),
+    "half_loop": ({"vertices": 1, "edges": [
+        {"from": 1, "to": 1, "length": 1.0, "probability": 0.5}]}, 1, (0.0, 2.0, 2.5)),
+    "unit_loop": ({"vertices": 1, "edges": [
+        {"from": 1, "to": 1, "length": 1.0, "probability": 1.0}]}, 1, (0.0, 3.0, 3.5)),
+    "two_vertex_p09": (two_vertex_spec(probability=0.45), 2, (0.0, 2 * math.log(2), 7.3)),
+    "ring20_p09": (ring_spec(20, 20, 0.9), 1, (0.0, 8.3)),
+    "ring50_p1": (ring_spec(50, 50, 1.0), 7, (11.3,)),
+}
+
+
+@pytest.mark.parametrize("case", list(KERNEL_CASES))
+def test_kernel_matches_vertex_loop_reference(case, monkeypatch):
+    spec, start, horizons = KERNEL_CASES[case]
+    g = build_graph(spec)
+    statuses = set()
+    for horizon in horizons:
+        statuses.update(assert_matches_loop_kernel(g, start, horizon, 3000, seed=5).tolist())
+    # A small batch cap makes every walk set span several batches.
+    monkeypatch.setattr(walker, "_BATCH_DRAWS", 256)
+    for horizon in horizons:
+        statuses.update(assert_matches_loop_kernel(g, start, horizon, 200, seed=9).tolist())
+    if case in ("ragged", "two_vertex_p09"):
+        assert statuses == {0, 1, 2}
+
+
+def test_uniform_equal_to_a_cumulative_probability_takes_the_next_edge():
+    # searchsorted(side="right") counts cum <= u, so a draw equal to the
+    # first cumulative probability picks the second edge.
+    u = float(np.random.Generator(np.random.Philox(3)).random())
+    g = build_graph({"vertices": 1, "edges": [
+        {"from": 1, "to": 1, "length": 1.0, "probability": u},
+        {"from": 1, "to": 1, "length": 2.0, "probability": 1.0 - u},
+    ]})
+    assert simulate_walk(g, 1, 0.5, seed=3).edge_id == 1
+    assert_matches_loop_kernel(g, 1, 0.5, 1, seed=3)
+
+
+@pytest.mark.parametrize("horizon", [1e300, math.inf, math.nan])
+def test_unbounded_draw_budget_is_a_validation_error(horizon, half_loop):
+    with pytest.raises(ValidationError, match="uniform draws per walk"):
+        ensemble_survival(half_loop, 1, horizon, 10, seed=0)
+
+
+def test_draw_budget_limit_is_one_batch(unit_loop, monkeypatch):
+    # Unit loop: T needs int(T) + 2 draws.  With 64 draws per batch, T = 62.5
+    # is the last horizon that fits, one walker per batch.
+    monkeypatch.setattr(walker, "_BATCH_DRAWS", 64)
+    est = ensemble_survival(unit_loop, 1, 62.5, 3, seed=0)
+    assert est.point_estimate == 1.0
+    with pytest.raises(ValidationError):
+        ensemble_survival(unit_loop, 1, 63.0, 3, seed=0)
+
+
+def test_start_outside_the_graph_is_a_validation_error(half_loop):
+    for start in (0, 2, -1):
+        with pytest.raises(IndexOutOfRange):
+            ensemble_survival(half_loop, start, 2.5, 10, seed=0)
 
 
 def test_ensemble_survival_matches_exact(half_loop):
