@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PropertyViolated, VolumeNotConserved
+from .errors import PropertyViolated, ValidationError, VolumeNotConserved
 from .graph import Edge, WeightedDigraph
 from .spectral import MatrixFunction, Mode, solve_lambda
 
@@ -138,7 +138,7 @@ def kakutani_partition(rule: SplitRule, n: int) -> Partition:
     """
     _require_interval_rule(rule)
     if n < 0:
-        raise ValueError("generation must be >= 0")
+        raise ValidationError("generation must be >= 0")
     seq = itertools.count()  # never reached while left endpoints differ
     heap = [(-1.0, 0.0, next(seq), Interval(left=0.0, length=1.0, type=1))]
     for _ in range(n):
@@ -158,7 +158,7 @@ def kakutani_threshold_partition(rule: SplitRule, x: float) -> Partition:
     """
     _require_interval_rule(rule)
     if x < 0.0:
-        raise ValueError("threshold exponent must be >= 0")
+        raise ValidationError("threshold exponent must be >= 0")
     cutoff = math.exp(-x)
     out = []
     splits = 0
@@ -259,7 +259,7 @@ def pascal_region_count(a: int, b: int, x: float) -> int:
     a-loops and k b-loops).
     """
     if a < 1 or b < 1:
-        raise ValueError("loop lengths a, b must be positive integers")
+        raise ValidationError("loop lengths a, b must be positive integers")
     total = 0
     m = 0
     while m * a <= x:

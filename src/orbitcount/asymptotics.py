@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NonPositiveLambda, WrongMode
+from .errors import DomainError, NonPositiveLambda, ValidationError, WrongMode
 from .spectral import MatrixFunction, Mode, SpectralSolution, solve_lambda
 
 FAMILY_A = "A"
@@ -177,7 +177,7 @@ def laplace_transform(f: MatrixFunction, family: str, indices, s, lam: float | N
     internal critical-exponent solve when evaluating on a grid.
     """
     if family not in _FAMILY_MODES:
-        raise ValueError(f"unknown family {family!r}")
+        raise ValidationError(f"unknown family {family!r}")
     if f.mode is not _FAMILY_MODES[family]:
         raise WrongMode(
             f"family {family} needs a {_FAMILY_MODES[family].value}-mode function"

@@ -40,7 +40,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import count as _counter
 
-from .errors import BudgetOverflow, MissingProbabilities
+from .errors import BudgetOverflow, MissingProbabilities, ValidationError
 from .graph import WeightedDigraph
 
 DEFAULT_MAX_PATHS = 50_000_000
@@ -226,7 +226,7 @@ def vertex_probability_atoms(
     """
     _require_probabilities(g)
     if window < 0.0:
-        raise ValueError("window must be >= 0")
+        raise ValidationError("window must be >= 0")
 
     def terms(grid, length, vertex, cnt, mass):
         if vertex != j:

@@ -6,9 +6,12 @@ weighted by transition probabilities (vertex or edge based).  The critical
 exponent ``lambda`` is the unique real s at which the dominant eigenvalue of
 that matrix equals 1; the rank-one coefficient matrix Q collects the leading
 asymptotic constants.  Everything here is dense and O(n^3) per matrix: M(s)
-is assembled from precomputed term arrays, the sparsity pattern is checked
-once per solve, and the adjugate behind Q comes from one SVD, so n in the
-hundreds stays interactive.
+is assembled from precomputed term arrays, the adjugate behind Q comes from
+one SVD, and the bisection for ``lambda`` takes most steps from a certified
+Collatz-Wielandt bracket rather than a full Perron solve, so n in the
+hundreds stays interactive.  The sparsity pattern of M(s) is the graph's
+(vertex modes) or its line graph's (edge mode), so strong connectivity of
+the graph stands in for an irreducibility check in the solve.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from .errors import (
     NotPrimitive,
     NotStronglyConnected,
     SingularDenominator,
+    ValidationError,
 )
 from .graph import WeightedDigraph, strong_connectivity
 
@@ -35,6 +39,11 @@ from .graph import WeightedDigraph, strong_connectivity
 PRIMITIVITY_SHIFT = 1e-3
 
 MU_TOLERANCE = 1e-12
+# A Collatz-Wielandt bracket this far from 1 decides the side of mu(sigma)
+# without a full solve (see _CertifiedSign); the bracket's rounding stays
+# below the margin's slack over MU_TOLERANCE up to n ~ 40,000.
+_SIGN_MARGIN = 1e-11
+_WARM_STEPS = 2
 MAX_BISECTIONS = 200
 BRACKET_CEILING = 64.0  # bracket expansion stops at 64 / min edge length
 
@@ -150,9 +159,9 @@ class MatrixFunction:
 def _check_square_nonnegative(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+        raise ValidationError(f"expected a square matrix, got shape {a.shape}")
     if np.any(a < 0) or not np.all(np.isfinite(a)):
-        raise ValueError("matrix must be entrywise non-negative and finite")
+        raise ValidationError("matrix must be entrywise non-negative and finite")
     return a
 
 
@@ -267,7 +276,7 @@ def adjugate(a) -> np.ndarray:
     a = np.asarray(a, dtype=complex if np.iscomplexobj(a) else float)
     n = a.shape[0]
     if a.ndim != 2 or a.shape[1] != n:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+        raise ValidationError(f"expected a square matrix, got shape {a.shape}")
     if n == 1:
         return np.ones((1, 1), dtype=a.dtype)
     u, s, vh = np.linalg.svd(a)
@@ -353,16 +362,77 @@ def perron_projection(a, method: str = ADJUGATE) -> np.ndarray:
                 return x2
             x = x2
         raise DidNotConverge(80, "power limit did not stabilize")
-    raise ValueError(f"unknown method {method!r}; expected one of {PROJECTION_METHODS}")
+    raise ValidationError(f"unknown method {method!r}; expected one of {PROJECTION_METHODS}")
 
 
 # -- critical exponent and Q -------------------------------------------------------
 
 
-def _spectral_radius(f: MatrixFunction, sigma: float) -> float:
-    # Weights are > 0 and e^(-sigma*l) > 0, so the sparsity pattern, checked
-    # once in solve_lambda, is the same at every sigma.
-    return _perron(f.evaluate(sigma)).mu
+_TINY = np.finfo(float).tiny
+
+
+def _cw_bracket(m: np.ndarray, v: np.ndarray) -> tuple[float, float] | None:
+    """Collatz-Wielandt bounds min (Mv)/v <= rho(M) <= max (Mv)/v, or None.
+
+    Valid for any positive v.  Every (Mv)_i is a sum of non-negative terms,
+    so each ratio is exact to about n * eps relative, provided no entry of v
+    or Mv is subnormal; None when one is, or is zero, NaN or infinite.
+    """
+    mv = m @ v
+    if not (v.min() >= _TINY and mv.min() >= _TINY and mv.max() < np.inf):
+        return None
+    ratios = mv / v
+    return float(ratios.min()), float(ratios.max())
+
+
+class _CertifiedSign:
+    """mu(sigma), or a bound on the same side of 1 when that side is certain.
+
+    Calling it at sigma tests the last right vector against M(sigma).  When
+    the Collatz-Wielandt bracket lies wholly above 1 + _SIGN_MARGIN or below
+    1 - _SIGN_MARGIN, the near bound of the bracket is returned in place of
+    mu.  The margin exceeds MU_TOLERANCE plus the error of a full solve
+    (~1e-13) plus the rounding of the bracket (n * eps), so each test that
+    solve_lambda makes (mu against 1, |mu - 1| against MU_TOLERANCE) gives
+    the answer the full solve would give.  An indecisive bracket is first
+    tightened by up to _WARM_STEPS inverse-iteration steps from the same
+    vector; after that mu comes from a full Perron solve, kept in
+    ``perron`` (its right vector seeds the next call).
+    """
+
+    def __init__(self, f: MatrixFunction):
+        self.f = f
+        # Weights are > 0 and e^(-sigma*l) > 0, so every M(sigma) has the
+        # pattern of M(0): the adjacency matrix in vertex modes, the line
+        # graph in edge mode, both strongly connected once the graph is.
+        self.perron = _perron(f.evaluate(0.0))
+        self.vector = self.perron.right_vector
+
+    def __call__(self, sigma: float) -> float:
+        m = self.f.evaluate(sigma)
+        v, shifted = self.vector, None
+        for step in range(_WARM_STEPS + 1):
+            bracket = _cw_bracket(m, v)
+            if bracket is None:
+                break
+            lo, hi = bracket
+            if lo > 1.0 + _SIGN_MARGIN or hi < 1.0 - _SIGN_MARGIN:
+                self.vector = v
+                return lo if lo > 1.0 else hi
+            # A bracket inside the margin band cannot become decisive.
+            inside = lo >= 1.0 - _SIGN_MARGIN and hi <= 1.0 + _SIGN_MARGIN
+            if inside or step == _WARM_STEPS:
+                break
+            if shifted is None:
+                shifted = m + PRIMITIVITY_SHIFT * np.eye(m.shape[0])
+            # The shift of _perron's inverse steps: just above the bracket of
+            # M + PRIMITIVITY_SHIFT * I, which keeps v positive.
+            v = _inverse_iteration_step(
+                shifted, (hi + PRIMITIVITY_SHIFT) * (1 + 1e-12), v
+            )
+        self.perron = _perron(m)
+        self.vector = self.perron.right_vector
+        return self.perron.mu
 
 
 def solve_lambda(f: MatrixFunction) -> SpectralSolution:
@@ -370,19 +440,23 @@ def solve_lambda(f: MatrixFunction) -> SpectralSolution:
 
     Counting mode starts from [0, hi] with mu(0) >= 1 and doubles hi until
     mu < 1; probability and edge modes have mu(0) <= 1 and expand the bracket
-    to the left.  Stops when |mu - 1| <= 1e-12.
+    to the left.  Stops when |mu - 1| <= 1e-12.  Each step needs only the
+    side of 1 that mu lies on, and a Collatz-Wielandt bracket from the last
+    right vector certifies it at most sigma; a full Perron solve runs only
+    at mu(0), where the bracket is indecisive, and so at lambda itself.
     """
     report = strong_connectivity(f.graph)
     if not report.strongly_connected:
         raise NotStronglyConnected(
             f"graph has {len(report.components)} strongly connected components"
         )
+    if not f.graph.edges:
+        # One vertex and no edge: one component, but M(s) = [[0]].
+        raise NotStronglyConnected("graph has no edges")
     ceiling = BRACKET_CEILING / f.graph.min_edge_length()
 
-    m0 = f.evaluate(0.0)
-    if not _is_irreducible(m0):
-        raise NotIrreducible("matrix sparsity pattern is not strongly connected")
-    mu0 = _perron(m0).mu
+    mu_at = _CertifiedSign(f)
+    mu0 = mu_at.perron.mu
     if f.mode is Mode.COUNTING:
         if mu0 < 1.0 - MU_TOLERANCE:
             raise BracketFailure(
@@ -390,7 +464,7 @@ def solve_lambda(f: MatrixFunction) -> SpectralSolution:
                 "impossible for a strongly connected graph, upstream bug"
             )
         lo, hi = 0.0, 1.0
-        while _spectral_radius(f, hi) >= 1.0:
+        while mu_at(hi) >= 1.0:
             hi *= 2.0
             if hi > ceiling:
                 raise BracketFailure(f"no sign change up to sigma = {hi:g}")
@@ -402,7 +476,7 @@ def solve_lambda(f: MatrixFunction) -> SpectralSolution:
             )
         hi = 0.0
         lo = -1.0
-        while _spectral_radius(f, lo) <= 1.0:
+        while mu_at(lo) <= 1.0:
             lo *= 2.0
             if -lo > ceiling:
                 raise BracketFailure(f"no sign change down to sigma = {lo:g}")
@@ -410,14 +484,14 @@ def solve_lambda(f: MatrixFunction) -> SpectralSolution:
     bracket = (lo, hi)
     lam, residual = None, None
     for endpoint in bracket:
-        r = abs(_spectral_radius(f, endpoint) - 1.0)
+        r = abs(mu_at(endpoint) - 1.0)
         if r <= MU_TOLERANCE:
             lam, residual = endpoint, r
             break
     if lam is None:
         for _ in range(MAX_BISECTIONS):
             mid = 0.5 * (lo + hi)
-            mu = _spectral_radius(f, mid)
+            mu = mu_at(mid)
             if abs(mu - 1.0) <= MU_TOLERANCE:
                 lam, residual = mid, abs(mu - 1.0)
                 break
@@ -430,12 +504,12 @@ def solve_lambda(f: MatrixFunction) -> SpectralSolution:
                 MAX_BISECTIONS, f"bisection stalled on [{lo!r}, {hi!r}]"
             )
 
-    perron = _perron(f.evaluate(lam))
+    # Only a full solve lands within MU_TOLERANCE, so the last one ran at lam.
     return SpectralSolution(
         function=f,
         lam=lam,
         q=q_matrix(f, lam),
-        perron_at_lambda=perron,
+        perron_at_lambda=mu_at.perron,
         bracket=bracket,
         residual=residual,
     )

@@ -146,9 +146,9 @@ def _ensemble_outcomes(g: WeightedDigraph, start: int, horizon: float, n: int, s
     departure vertex and time of an on-edge walker).
     """
     if horizon < 0.0:
-        raise ValueError("horizon must be >= 0")
+        raise ValidationError("horizon must be >= 0")
     if n < 1:
-        raise ValueError("sample count must be >= 1")
+        raise ValidationError("sample count must be >= 1")
     g.out_edges(start)  # IndexOutOfRange for a start outside 1..n
     cum, width, length, target, ids = _walk_tables(g)
     k_draws = _draw_budget(g, horizon)

@@ -9,16 +9,23 @@ Claims covered:
       verification; laplace covers values and the residue scan
     - outputs are byte-for-byte deterministic given the same invocation;
       analyze, count, prob and walk outputs are frozen as golden bytes
-    - exit codes: 1 validation, 2 numerical failure, 3 budget overflow
+    - exit codes: 1 validation (also from checks inside the library), 2
+      numerical failure, 3 budget overflow
+    - python -m orbitcount runs the same CLI
     - a parsed-then-serialized graph reparses identically
 """
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import orbitcount
 from orbitcount import build_graph, graph_to_dict
 from orbitcount.cli import run
 from orbitcount.spectral import MatrixFunction, Mode, solve_lambda
@@ -174,6 +181,26 @@ def test_walk_unbounded_horizon_and_bad_start_exit_1(stochastic_path, capsys):
     assert "outside 1..2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["walk", "{g}", "--from", "1", "--survival", "--T", "2.5", "-n", "0"],
+         "sample count must be >= 1"),
+        (["prob", "{g}", "--family", "C", "--from", "1", "--to", "1", "--T", "2.5",
+          "--window", "-0.5"],
+         "window must be >= 0"),
+        (["kakutani", "--alpha", "1/3", "--threshold", "-1"],
+         "threshold exponent must be >= 0"),
+    ],
+    ids=["walk-n0", "prob-negative-window", "kakutani-negative-threshold"],
+)
+def test_library_validation_exit_1(stochastic_path, capsys, argv, message):
+    # These checks live in the walker, the oracle and the splitting code, not
+    # in the argument parser; they still end in exit 1, not a traceback.
+    assert run([a.format(g=stochastic_path) for a in argv]) == 1
+    assert capsys.readouterr().err == f"orbitcount: {message}\n"
+
+
 def test_subst_verifies_rule(rule_path, capsys):
     assert run(["subst", rule_path]) == 0
     out = capsys.readouterr().out
@@ -208,6 +235,18 @@ def test_laplace_below_critical_line_is_validation_error(two_vertex_path, capsys
     ) == 1
 
 
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(orbitcount.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    done = subprocess.run(
+        [sys.executable, "-m", "orbitcount", "--help"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: orbitcount ")
+
+
 def test_exit_code_validation(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"vertices": 2, "edges": [
@@ -215,6 +254,9 @@ def test_exit_code_validation(tmp_path, capsys):
     assert run(["analyze", str(bad)]) == 1
     assert run(["analyze", str(tmp_path / "missing.json")]) == 1
     assert run(["count", str(bad), "--family", "A"]) == 1  # missing required args
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"vertices": 1, "edges": []}))
+    assert run(["analyze", str(empty)]) == 1
 
 
 def test_exit_code_volume_violation(rule_path, tmp_path, capsys):

@@ -12,8 +12,11 @@ Claims covered:
       A adj(A) = det(A) I on random (including singular) matrices, and a
       literal cofactor expansion on real, complex, rank-deficient and
       I - M(lam) input
-    - solve_lambda checks the sparsity pattern once and keeps its sequence
-      of Perron solves
+    - solve_lambda checks no sparsity pattern (strong connectivity of the
+      graph decides it, in every mode), decides most bisection steps from a
+      certified Collatz-Wielandt sign with the result bit-identical to full
+      Perron solves at every step, and never certifies a point where a full
+      solve would stop
     - all four Perron projection routes agree, are idempotent with unit
       trace, and power-limit rejects periodic input
     - the exponent solve lands on the two-vertex example (lam = 1), on
@@ -39,6 +42,7 @@ from orbitcount.errors import (
     NotStronglyConnected,
     SingularDenominator,
 )
+from orbitcount.graph import strong_connectivity
 from orbitcount.spectral import (
     ADJUGATE,
     POWER_LIMIT,
@@ -290,27 +294,122 @@ def test_adjugate_at_lambda_matches_cofactors_n30():
     _assert_matches_cofactors(np.eye(30) - f.evaluate(lam))
 
 
-def test_solve_lambda_checks_pattern_once(monkeypatch):
+def test_solve_lambda_checks_no_pattern_and_few_solves(monkeypatch):
     checks, solves = [], []
     is_irreducible, perron = spectral._is_irreducible, spectral._perron
     monkeypatch.setattr(spectral, "_is_irreducible", lambda a: checks.append(1) or is_irreducible(a))
     monkeypatch.setattr(spectral, "_perron", lambda a: solves.append(1) or perron(a))
     g = build_graph(ring_spec(20, 20, 0.9))
+    # Every solve before the certified sign made 43 full Perron solves here.
+    expected = {Mode.COUNTING: 2, Mode.PROBABILITY: 5, Mode.EDGE: 5}
     for mode in Mode:
         checks.clear()
+        solves.clear()
         solve_lambda(MatrixFunction(g, mode))
-        assert len(checks) == 1
-    # The bisection itself is unchanged: the same Perron solves as when
-    # every solve re-checked the pattern (bracket, bisection, final).
-    solves.clear()
-    solve_lambda(MatrixFunction(g, Mode.COUNTING))
-    assert len(solves) == 43
+        assert len(checks) == 0
+        assert len(solves) == expected[mode] <= 8
 
 
-def test_solve_lambda_pattern_check_raises(monkeypatch, two_vertex):
-    monkeypatch.setattr(spectral, "_is_irreducible", lambda a: False)
-    with pytest.raises(NotIrreducible):
-        solve_lambda(MatrixFunction(two_vertex, Mode.COUNTING))
+def test_solve_lambda_reducible_graph_raises_before_any_solve(monkeypatch):
+    solves = []
+    perron = spectral._perron
+    monkeypatch.setattr(spectral, "_perron", lambda a: solves.append(1) or perron(a))
+    edges = [
+        {"from": 1, "to": 1, "length": 1.0, "probability": 0.5},
+        {"from": 1, "to": 2, "length": 2.0, "probability": 0.5},
+        {"from": 2, "to": 2, "length": 1.5, "probability": 1.0},
+    ]
+    g = build_graph({"vertices": 2, "edges": edges})
+    for mode in Mode:
+        with pytest.raises(NotStronglyConnected):
+            solve_lambda(MatrixFunction(g, mode))
+    # One component, but M(s) = [[0]] is reducible.
+    with pytest.raises(NotStronglyConnected, match="no edges"):
+        solve_lambda(MatrixFunction(build_graph({"vertices": 1, "edges": []})))
+    assert solves == []
+
+
+def _reducible_specs():
+    """Small graphs that are not strongly connected but have no isolated vertex.
+
+    An isolated vertex leaves the line graph of the rest strongly connected,
+    so only these make the edge-mode pattern reducible too.
+    """
+    def spec(n, arcs):
+        out = {v: sum(1 for a in arcs if a[0] == v) for v in range(1, n + 1)}
+        return {
+            "vertices": n,
+            "edges": [
+                {"from": a, "to": b, "length": l, "probability": 0.9 / out[a]}
+                for a, b, l in arcs
+            ],
+        }
+
+    return [
+        spec(2, [(1, 1, 1.0), (1, 2, 2.0), (2, 2, 1.5)]),
+        spec(3, [(1, 2, 1.0), (2, 1, 1.3), (2, 3, 0.7), (3, 3, 2.0)]),
+        spec(4, [(1, 2, 1.0), (2, 1, 1.1), (3, 4, 1.2), (4, 3, 0.9), (1, 3, 0.5)]),
+        spec(4, [(1, 2, 1.0), (2, 3, 1.0), (3, 1, 1.0), (4, 1, 1.0), (4, 4, 2.0)]),
+    ]
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_pattern_of_m0_is_strong_connectivity(mode):
+    """solve_lambda relies on strong_connectivity in place of _is_irreducible(M(0))."""
+    specs = [ring_spec(seed, n, 0.9) for seed in range(6) for n in (1, 2, 5, 20)]
+    specs += _reducible_specs()
+    seen = set()
+    for spec in specs:
+        g = build_graph(spec)
+        connected = strong_connectivity(g).strongly_connected
+        m0 = MatrixFunction(g, mode).evaluate(0.0)
+        assert spectral._is_irreducible(m0) == connected
+        seen.add(connected)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("n", [5, 20])
+def test_certified_sign_solve_bit_identical_to_full_solves(monkeypatch, n):
+    g = build_graph(ring_spec(n, n, 0.9))
+    for mode in Mode:
+        f = MatrixFunction(g, mode)
+        fast = solve_lambda(f)
+        with monkeypatch.context() as patch:
+            # No bracket certifies anything, so every step is a full solve.
+            patch.setattr(spectral, "_cw_bracket", lambda m, v: None)
+            full = solve_lambda(f)
+        assert (fast.lam, fast.residual, fast.bracket) == (full.lam, full.residual, full.bracket)
+        assert fast.perron_at_lambda.mu == full.perron_at_lambda.mu
+        assert np.array_equal(fast.perron_at_lambda.right_vector, full.perron_at_lambda.right_vector)
+        assert np.array_equal(fast.perron_at_lambda.left_vector, full.perron_at_lambda.left_vector)
+        assert np.array_equal(fast.q, full.q)
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_certified_sign_decisions_match_full_solves_near_root(mode):
+    f = MatrixFunction(build_graph(ring_spec(20, 20, 0.9)), mode)
+    lam = solve_lambda(f).lam
+    near = [s * d for d in (1e-11, 3e-12, 1e-12, 5e-13, 2e-13, 1e-13, 1e-14) for s in (-1, 1)]
+    offsets = sorted(list(np.linspace(-1e-3, 1e-3, 41)) + near)
+    sign = spectral._CertifiedSign(f)
+    certified = accepted = 0
+    for sigma in (lam + d for d in offsets):
+        before = sign.perron
+        x = sign(sigma)
+        mu = spectral._perron(f.evaluate(sigma)).mu
+        if sign.perron is before:
+            certified += 1
+        assert (x >= 1.0) == (mu >= 1.0)
+        assert (x > 1.0) == (mu > 1.0)
+        assert (x <= 1.0) == (mu <= 1.0)
+        assert (abs(x - 1.0) <= spectral.MU_TOLERANCE) == (abs(mu - 1.0) <= spectral.MU_TOLERANCE)
+        if abs(mu - 1.0) <= spectral.MU_TOLERANCE:
+            # Here solve_lambda stops and keeps |x - 1| as the residual.
+            accepted += 1
+            assert x == mu
+    # All but the cold first step and the points within ~1e-11 of mu = 1.
+    assert certified >= 38
+    assert accepted >= 3
 
 
 # -- Perron projection -----------------------------------------------------------
