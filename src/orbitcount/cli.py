@@ -16,6 +16,7 @@ for golden files.  ``ORBITCOUNT_MAX_PATHS`` overrides the oracle safety cap.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -115,10 +116,20 @@ def _edge_ref(text: str):
 
 
 def _max_paths(args) -> int:
+    """The oracle class budget: ``--max-paths``, else ``ORBITCOUNT_MAX_PATHS``."""
     if getattr(args, "max_paths", None) is not None:
-        return args.max_paths
-    env = os.environ.get("ORBITCOUNT_MAX_PATHS")
-    return int(env) if env else oracle.DEFAULT_MAX_PATHS
+        source, text = "--max-paths", str(args.max_paths)
+    else:
+        source, text = "ORBITCOUNT_MAX_PATHS", os.environ.get("ORBITCOUNT_MAX_PATHS")
+        if not text:
+            return oracle.DEFAULT_MAX_PATHS
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise ValidationError(f"{source} must be an integer >= 1, got {text!r}")
+    return value
 
 
 # -- subcommand handlers -----------------------------------------------------------
@@ -304,7 +315,9 @@ def _cmd_laplace(fmt: str, args, stream) -> int:
 # -- parser / entry point ----------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built on first use and reused for the process."""
     parser = _Parser(prog="orbitcount", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

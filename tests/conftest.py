@@ -1,11 +1,22 @@
-"""Shared fixtures: the canonical two-vertex example and small loop graphs."""
+"""Shared fixtures and references.
 
+Fixtures: the canonical two-vertex example and small loop graphs.  References
+kept as oracles for the library's faster routes: the cofactor adjugate, the
+per-vertex walk loop, and the best-first heap over length-class rows with
+the per-class grid sweep of every count/prob family.
+"""
+
+import bisect
+import cmath
+import heapq
+import math
+import numbers
 import random
 
 import numpy as np
 import pytest
 
-from orbitcount import build_graph, walker
+from orbitcount import build_graph, oracle, walker
 
 
 def two_vertex_spec(probability=None):
@@ -60,6 +71,206 @@ def cofactor_adjugate(a):
             minor = a[np.ix_(rows != i, rows != j)]
             out[j, i] = (-1) ** (i + j) * np.linalg.det(minor)
     return out
+
+
+def heap_expand_classes(g, start, budget):
+    """Yield (length, vertex, path_count, probability_mass) classes, best-first.
+
+    The literal heap over rows, kept as the oracle for the library's banded
+    expansion: heap entries with the same terminal vertex whose lengths lie
+    within the merge tolerance of the bucket head are coalesced before
+    emission, one class per vertex in vertex order.
+    """
+    g.out_edges(start)
+    tol = min(oracle.MERGE_TOLERANCE, g.min_edge_length() / 4.0)
+    heap = []
+    if budget.max_length >= 0.0:
+        heap.append((0.0, start, 1, 1.0))
+    emitted = 0
+    while heap:
+        head = heap[0][0]
+        bucket = {}
+        while heap and heap[0][0] <= head + tol:
+            length, vertex, cnt, mass = heapq.heappop(heap)
+            slot = bucket.get(vertex)
+            if slot is None:
+                bucket[vertex] = [length, cnt, mass]
+            else:
+                slot[1] += cnt
+                slot[2] += mass
+        for vertex in sorted(bucket):
+            length, cnt, mass = bucket[vertex]
+            emitted += 1
+            if emitted > budget.max_paths:
+                budget.overflow = True
+                raise oracle.BudgetOverflow(emitted)
+            yield length, vertex, cnt, mass
+            for e in g.out_edges(vertex):
+                ext = length + e.length
+                if ext <= budget.max_length:
+                    m = mass if e.probability is None else mass * e.probability
+                    heapq.heappush(heap, (ext, e.target, cnt, m))
+
+
+def _heap_sweep(g, start, x, max_paths, terms, zero=0, scale=None):
+    """Sum class weights at every point of ``x``, one heap class at a time.
+
+    ``terms(grid, length, vertex, cnt, mass)`` lists the (weight, stop) pairs
+    of one class: the weight goes to the sorted grid points >= length below
+    index ``stop``, in emission order.
+    """
+    scalar = isinstance(x, numbers.Real)
+    points = [x] if scalar else list(x)
+    order = sorted(range(len(points)), key=points.__getitem__)
+    grid = [points[k] for k in order]
+    sums = [zero] * len(grid)
+    if grid and grid[-1] >= 0.0:
+        budget = oracle.EnumerationBudget(max_length=grid[-1], max_paths=max_paths)
+        for length, vertex, cnt, mass in heap_expand_classes(g, start, budget):
+            first = bisect.bisect_left(grid, length)
+            for weight, stop in terms(grid, length, vertex, cnt, mass):
+                for k in range(first, stop):
+                    sums[k] += weight
+    totals = [zero] * len(grid)
+    for k, total in zip(order, sums):
+        totals[k] = total if scale is None else total * scale
+    return totals[0] if scalar else totals
+
+
+def heap_count_paths(g, i, j, x, max_paths=oracle.DEFAULT_MAX_PATHS):
+    def terms(grid, length, vertex, cnt, mass):
+        return ((cnt, len(grid)),) if vertex == j else ()
+
+    return _heap_sweep(g, i, x, max_paths, terms)
+
+
+def heap_count_edge_hits(g, i, edge_ref, x, max_paths=oracle.DEFAULT_MAX_PATHS):
+    alpha = g.edge(edge_ref)
+
+    def terms(grid, length, vertex, cnt, mass):
+        if vertex != alpha.source:
+            return ()
+        return ((cnt, bisect.bisect_left(grid, length + alpha.length)),)
+
+    return _heap_sweep(g, i, x, max_paths, terms)
+
+
+def heap_vertex_probability(g, i, j, time, window=0.0, max_paths=oracle.DEFAULT_MAX_PATHS):
+    def terms(grid, length, vertex, cnt, mass):
+        if vertex != j:
+            return ()
+        stop = 0
+        while stop < len(grid) and length >= grid[stop] - window:
+            stop += 1
+        return ((mass, stop),)
+
+    return _heap_sweep(g, i, time, max_paths, terms, 0.0)
+
+
+def heap_edge_probability(g, i, edge_ref, time, max_paths=oracle.DEFAULT_MAX_PATHS):
+    alpha = g.edge(edge_ref)
+
+    def terms(grid, length, vertex, cnt, mass):
+        if vertex != alpha.source:
+            return ()
+        return ((mass, bisect.bisect_left(grid, length + alpha.length)),)
+
+    return _heap_sweep(g, i, time, max_paths, terms, 0.0, scale=alpha.probability)
+
+
+def heap_survival(g, i, time, max_paths=oracle.DEFAULT_MAX_PATHS):
+    exits = {
+        v: [(e.probability, e.length) for e in g.out_edges(v)]
+        for v in range(1, g.vertex_count + 1)
+    }
+
+    def terms(grid, length, vertex, cnt, mass):
+        return [(mass * p, bisect.bisect_left(grid, length + l)) for p, l in exits[vertex]]
+
+    return _heap_sweep(g, i, time, max_paths, terms, 0.0)
+
+
+def heap_laplace_sum(g, i, j, s, max_length, max_paths=oracle.DEFAULT_MAX_PATHS, weighted=False):
+    exp, zero = (cmath.exp, 0.0j) if isinstance(s, complex) else (math.exp, 0.0)
+
+    def terms(grid, length, vertex, cnt, mass):
+        if vertex != j:
+            return ()
+        return (((mass if weighted else cnt) * exp(-s * length), len(grid)),)
+
+    return _heap_sweep(g, i, max_length, max_paths, terms, zero)
+
+
+def band_classes(g, start, budget):
+    """The library's banded class stream, concatenated into four columns."""
+    bands = list(oracle._expand_classes(g, start, budget))
+    return [np.concatenate(column) for column in zip(*bands)]
+
+
+def family_pairs(g, grid, top, max_paths=oracle.DEFAULT_MAX_PATHS):
+    """(name, library call, heap call) for the families on ``g``.
+
+    Counts to vertex 1 and the last vertex, edge hits on the first and last
+    edge and transform sums; on a probability-annotated graph also
+    at-vertex masses with and without a window, on-edge masses, survival
+    and weighted transform sums.  Every call gets ``max_paths``.
+    """
+    n, last = g.vertex_count, g.edges[-1].id
+    cap = {"max_paths": max_paths}
+    pairs = []
+    for j in sorted({1, n}):
+        pairs.append((f"A{j}", lambda j=j: oracle.count_paths_exact(g, 1, j, grid, **cap),
+                      lambda j=j: heap_count_paths(g, 1, j, grid, **cap)))
+        for s in (1.7, complex(1.7, 3.0)):
+            pairs.append((f"laplace{j}/{s}",
+                          lambda j=j, s=s: oracle.truncated_laplace_sum(g, 1, j, s, top, **cap),
+                          lambda j=j, s=s: heap_laplace_sum(g, 1, j, s, top, **cap)))
+    for e in sorted({0, last}):
+        pairs.append((f"B{e}", lambda e=e: oracle.count_edge_hits_exact(g, 1, e, grid, **cap),
+                      lambda e=e: heap_count_edge_hits(g, 1, e, grid, **cap)))
+    if not g.has_probabilities:
+        return pairs
+    for j in sorted({1, n}):
+        for w in (0.0, 0.5):
+            pairs.append((
+                f"C{j}/{w}",
+                lambda j=j, w=w: oracle.vertex_probability_atoms(g, 1, j, grid, w, **cap),
+                lambda j=j, w=w: heap_vertex_probability(g, 1, j, grid, w, **cap)))
+        pairs.append((
+            f"laplace-weighted{j}",
+            lambda j=j: oracle.truncated_laplace_sum(g, 1, j, 0.3, top, weighted=True, **cap),
+            lambda j=j: heap_laplace_sum(g, 1, j, 0.3, top, weighted=True, **cap)))
+    for e in sorted({0, last}):
+        pairs.append((f"D{e}", lambda e=e: oracle.edge_probability_exact(g, 1, e, grid, **cap),
+                      lambda e=e: heap_edge_probability(g, 1, e, grid, **cap)))
+    pairs.append(("survival", lambda: oracle.survival_exact(g, 1, grid, **cap),
+                  lambda: heap_survival(g, 1, grid, **cap)))
+    return pairs
+
+
+def assert_matches_heap(g, top, grid=None):
+    """Assert the banded stream and every family equal the heap reference.
+
+    The class stream from vertex 1 up to ``top`` must match column by column
+    (lengths, vertices, counts as Python ints, masses, all bit for bit), and
+    every family's answers on ``grid`` (default: 8 points up to ``top`` and
+    one below 0) must be equal in value and type.  Returns the stream.
+    """
+    want = list(heap_expand_classes(g, 1, oracle.EnumerationBudget(max_length=top)))
+    got = band_classes(g, 1, oracle.EnumerationBudget(max_length=top))
+    assert np.array_equal(got[0], [row[0] for row in want])
+    assert np.array_equal(got[1], [row[1] for row in want])
+    assert got[2].tolist() == [row[2] for row in want]
+    assert np.array_equal(got[3], [row[3] for row in want])
+    if grid is None:
+        grid = [top * k / 8 + 0.01 for k in range(8)][::-1] + [top, -0.5]
+    for name, library, heap in family_pairs(g, grid, top):
+        result, expected = library(), heap()
+        assert result == expected, name
+        if not isinstance(result, list):
+            result, expected = [result], [expected]
+        assert [type(v) for v in result] == [type(v) for v in expected], name
+    return got
 
 
 def loop_ensemble_outcomes(g, start, horizon, n, seed):

@@ -188,11 +188,18 @@ def test_walk_unbounded_horizon_and_bad_start_exit_1(stochastic_path, capsys):
          "sample count must be >= 1"),
         (["prob", "{g}", "--family", "C", "--from", "1", "--to", "1", "--T", "2.5",
           "--window", "-0.5"],
-         "window must be >= 0"),
+         "window must be finite and >= 0"),
+        (["prob", "{g}", "--family", "C", "--from", "1", "--to", "1", "--T", "2.5",
+          "--window", "nan"],
+         "window must be finite and >= 0"),
+        (["prob", "{g}", "--family", "C", "--from", "1", "--to", "1", "--T", "3,5",
+          "--window", "inf"],
+         "window must be finite and >= 0"),
         (["kakutani", "--alpha", "1/3", "--threshold", "-1"],
          "threshold exponent must be >= 0"),
     ],
-    ids=["walk-n0", "prob-negative-window", "kakutani-negative-threshold"],
+    ids=["walk-n0", "prob-negative-window", "prob-nan-window", "prob-inf-window",
+         "kakutani-negative-threshold"],
 )
 def test_library_validation_exit_1(stochastic_path, capsys, argv, message):
     # These checks live in the walker, the oracle and the splitting code, not
@@ -294,6 +301,47 @@ def test_max_paths_flag_beats_env(two_vertex_path, capsys, monkeypatch):
         ["count", two_vertex_path, "--family", "A", "--from", "1", "--to", "1", "--x", "8",
          "--max-paths", "100000"]
     ) == 0
+
+
+@pytest.mark.parametrize(
+    "flag, env, message",
+    [
+        (None, "abc", "ORBITCOUNT_MAX_PATHS must be an integer >= 1, got 'abc'"),
+        (None, "1.5", "ORBITCOUNT_MAX_PATHS must be an integer >= 1, got '1.5'"),
+        (None, "0", "ORBITCOUNT_MAX_PATHS must be an integer >= 1, got '0'"),
+        (None, "-3", "ORBITCOUNT_MAX_PATHS must be an integer >= 1, got '-3'"),
+        ("0", None, "--max-paths must be an integer >= 1, got '0'"),
+        ("-5", "100", "--max-paths must be an integer >= 1, got '-5'"),
+    ],
+    ids=["env-text", "env-float", "env-zero", "env-negative", "flag-zero", "flag-negative"],
+)
+def test_max_paths_must_be_a_positive_integer(two_vertex_path, capsys, monkeypatch,
+                                              flag, env, message):
+    if env is None:
+        monkeypatch.delenv("ORBITCOUNT_MAX_PATHS", raising=False)
+    else:
+        monkeypatch.setenv("ORBITCOUNT_MAX_PATHS", env)
+    argv = ["count", two_vertex_path, "--family", "A", "--from", "1", "--to", "1", "--x", "8"]
+    if flag is not None:
+        argv += ["--max-paths", flag]
+    assert run(argv) == 1
+    assert capsys.readouterr().err == f"orbitcount: {message}\n"
+
+
+def test_parser_is_built_once_and_reused(two_vertex_path, capsys, monkeypatch):
+    from orbitcount import cli
+
+    argv = ["count", two_vertex_path, "--family", "A", "--from", "1", "--to", "2",
+            "--x", "2.5,7.1"]
+    cli._build_parser.cache_clear()
+    assert run(argv) == 0
+    first = capsys.readouterr()
+    # A call that fails to parse leaves the shared parser as it was.
+    assert run(["count", two_vertex_path, "--family", "Z", "--from", "1"]) == 1
+    assert "invalid choice" in capsys.readouterr().err
+    assert run(argv) == 0
+    assert capsys.readouterr() == first
+    assert cli._build_parser.cache_info().misses == 1
 
 
 def test_output_file(two_vertex_path, tmp_path, capsys):
