@@ -74,17 +74,25 @@ class SplitRule:
         ``{"dimension": d, "prototiles": [{"children": [{"type": t,
         "scale": s | {"ratio_of": [p, q]}}]}]}``
         """
-        prototiles = []
-        for proto in spec["prototiles"]:
-            children = []
-            for child in proto["children"]:
-                scale = child["scale"]
-                if isinstance(scale, dict):
-                    p, q = scale["ratio_of"]
-                    scale = p / q
-                children.append((int(child["type"]), float(scale)))
-            prototiles.append(tuple(children))
-        return cls(dimension=int(spec["dimension"]), prototiles=tuple(prototiles))
+        where = "rule"
+        try:
+            prototiles = []
+            for t, proto in enumerate(spec["prototiles"], start=1):
+                where = f"prototile {t}"
+                children = []
+                for c, child in enumerate(proto["children"], start=1):
+                    where = f"prototile {t}, child {c}"
+                    scale = child["scale"]
+                    if isinstance(scale, dict):
+                        p, q = scale["ratio_of"]
+                        scale = p / q
+                    children.append((int(child["type"]), float(scale)))
+                prototiles.append(tuple(children))
+            where = "rule"
+            dimension = int(spec["dimension"])
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            raise ValidationError(f"{where}: bad or missing field: {exc}") from exc
+        return cls(dimension=dimension, prototiles=tuple(prototiles))
 
 
 @dataclass(frozen=True)

@@ -90,7 +90,7 @@ def _load_rule_arg(path: str):
     try:
         with open(path) as fh:
             return apps.SplitRule.from_dict(json.load(fh))
-    except (json.JSONDecodeError, OSError, KeyError, TypeError) as exc:
+    except (json.JSONDecodeError, OSError) as exc:
         raise ValidationError(f"cannot read rule {path!r}: {exc}") from exc
 
 
@@ -105,10 +105,13 @@ def _parse_grid(text: str, name: str) -> tuple[float, ...]:
 
 
 def _parse_ratio(text: str) -> float:
-    if "/" in text:
-        p, q = text.split("/", 1)
-        return float(p) / float(q)
-    return float(text)
+    try:
+        if "/" in text:
+            p, q = text.split("/", 1)
+            return float(p) / float(q)
+        return float(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValidationError(f"bad ratio {text!r}") from exc
 
 
 def _edge_ref(text: str):
@@ -260,8 +263,11 @@ def _cmd_kakutani(fmt: str, args, stream) -> int:
         rows = [(iv.left, iv.length, iv.type) for iv in part.intervals]
         _emit(fmt, ["left", "length", "type"], rows, stream)
         return 0
+    generations = _parse_grid(args.generations, "n")
+    if any(v != int(v) for v in generations):
+        raise ValidationError(f"--n must list whole generations, got {args.generations!r}")
     rows = []
-    for n in (int(v) for v in _parse_grid(args.generations, "n")):
+    for n in map(int, generations):
         part = apps.kakutani_partition(rule, n)
         rows.append((n, part.interval_count, apps.discrepancy(part)))
     _emit(fmt, ["n", "intervals", "discrepancy"], rows, stream)

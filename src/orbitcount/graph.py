@@ -29,6 +29,7 @@ from .errors import (
     NonPositiveLength,
     ProbabilitySumExceedsOne,
     UnknownEdge,
+    ValidationError,
 )
 
 # Per-vertex probability sums may exceed 1 by at most this much (float slack).
@@ -101,20 +102,6 @@ class WeightedDigraph:
             return self._out[vertex]
         except KeyError:
             raise IndexOutOfRange(f"vertex {vertex} outside 1..{self.vertex_count}")
-
-    def exit_probability(self, vertex: int) -> float:
-        """Residual probability of leaving the graph at ``vertex``."""
-        total = sum(e.probability for e in self.out_edges(vertex))
-        return max(0.0, 1.0 - total)
-
-    def is_stochastic(self, tol: float = PROBABILITY_SUM_SLACK) -> bool:
-        """True when every vertex's outgoing probabilities sum to 1 within tol."""
-        if not self.has_probabilities:
-            return False
-        return all(
-            abs(sum(e.probability for e in self._out[v]) - 1.0) <= tol
-            for v in range(1, self.vertex_count + 1)
-        )
 
     def min_edge_length(self) -> float:
         return min(e.length for e in self.edges)
@@ -198,14 +185,14 @@ def build_graph(spec: dict) -> WeightedDigraph:
     """Validate a raw graph description and build a :class:`WeightedDigraph`."""
     try:
         n = int(spec["vertices"])
-        raw_edges = spec["edges"]
-    except (KeyError, TypeError) as exc:
+        raw_edges = list(spec["edges"])
+    except (KeyError, TypeError, ValueError) as exc:
         raise IndexOutOfRange(f"malformed graph spec: {exc}") from exc
     edges = []
     for k, item in enumerate(raw_edges):
-        prob = item.get("probability")
-        edges.append(
-            Edge(
+        try:
+            prob = item.get("probability")
+            edge = Edge(
                 id=k,
                 source=int(item["from"]),
                 target=int(item["to"]),
@@ -213,7 +200,9 @@ def build_graph(spec: dict) -> WeightedDigraph:
                 probability=None if prob is None else float(prob),
                 name=item.get("name"),
             )
-        )
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ValidationError(f"edge {k}: bad or missing field: {exc}") from exc
+        edges.append(edge)
     return WeightedDigraph(vertex_count=n, edges=tuple(edges))
 
 

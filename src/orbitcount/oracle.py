@@ -395,7 +395,8 @@ def _expand_classes(g: WeightedDigraph, start: int, budget: EnumerationBudget):
     Counts are int64, or Python ints once int64 could overflow.
     """
     g.out_edges(start)
-    m = g.min_edge_length()
+    # Without edges the one band [0, inf) holds the empty path alone.
+    m = g.min_edge_length() if g.edges else math.inf
     tol = min(MERGE_TOLERANCE, m / 4.0)
     if budget.max_length < 0.0:
         return

@@ -44,6 +44,10 @@ MU_TOLERANCE = 1e-12
 # below the margin's slack over MU_TOLERANCE up to n ~ 40,000.
 _SIGN_MARGIN = 1e-11
 _WARM_STEPS = 2
+# Perron solves: the Collatz-Wielandt bracket closes to this relative width
+# within this many power steps (and 200 inverse-iteration steps).
+PERRON_TOLERANCE = 1e-13
+PERRON_MAX_ITER = 500
 MAX_BISECTIONS = 200
 BRACKET_CEILING = 64.0  # bracket expansion stops at 64 / min edge length
 
@@ -195,7 +199,7 @@ def _inverse_iteration_step(a, shift, vec):
     return x / norm
 
 
-def perron_eigen(a, tol: float = 1e-13, max_iter: int = 500) -> PerronData:
+def perron_eigen(a) -> PerronData:
     """Dominant eigenvalue with positive left/right eigenvectors, u^T v = 1.
 
     A short power-iteration phase on the diagonally shifted matrix gives a
@@ -212,10 +216,10 @@ def perron_eigen(a, tol: float = 1e-13, max_iter: int = 500) -> PerronData:
     a = _check_square_nonnegative(a)
     if not _is_irreducible(a):
         raise NotIrreducible("matrix sparsity pattern is not strongly connected")
-    return _perron(a, tol, max_iter)
+    return _perron(a)
 
 
-def _perron(a: np.ndarray, tol: float = 1e-13, max_iter: int = 500) -> PerronData:
+def _perron(a: np.ndarray) -> PerronData:
     """:func:`perron_eigen` for a non-negative float matrix already known irreducible."""
     n = a.shape[0]
     if n == 1:
@@ -232,7 +236,7 @@ def _perron(a: np.ndarray, tol: float = 1e-13, max_iter: int = 500) -> PerronDat
     def iterate(mat):
         v = np.full(n, 1.0 / n)
         lo, hi = cw_bounds(mat, v)
-        for _ in range(max_iter):
+        for _ in range(PERRON_MAX_ITER):
             w = mat @ v
             total = w.sum()
             if total <= 0 or not np.isfinite(total):
@@ -242,7 +246,7 @@ def _perron(a: np.ndarray, tol: float = 1e-13, max_iter: int = 500) -> PerronDat
             if hi - lo <= 1e-3 * max(1.0, hi):
                 break
         for _ in range(200):
-            if hi - lo <= tol * max(1.0, abs(hi)):
+            if hi - lo <= PERRON_TOLERANCE * max(1.0, abs(hi)):
                 return 0.5 * (lo + hi), v
             v = _inverse_iteration_step(mat, hi * (1 + 1e-12), v)
             if np.any(v <= 0):
@@ -250,7 +254,7 @@ def _perron(a: np.ndarray, tol: float = 1e-13, max_iter: int = 500) -> PerronDat
                 v /= v.sum()
             lo, hi = cw_bounds(mat, v)
         raise DidNotConverge(
-            max_iter + 200, f"Perron bracket stuck at width {hi - lo:g}"
+            PERRON_MAX_ITER + 200, f"Perron bracket stuck at width {hi - lo:g}"
         )
 
     mu_b, v = iterate(b)
@@ -512,20 +516,6 @@ def solve_lambda(f: MatrixFunction) -> SpectralSolution:
         perron_at_lambda=mu_at.perron,
         bracket=bracket,
         residual=residual,
-    )
-
-
-def critical_line_scan(f: MatrixFunction, lam: float, t_grid) -> np.ndarray:
-    """|det(I - M(lam + i t))| over a caller-supplied grid of imaginary parts.
-
-    On incommensurable graphs the determinant vanishes on the critical line
-    only at t = 0; values near zero elsewhere flag a (nearly) lattice length
-    spectrum, where the leading-order laws degrade.  A diagnostic, not a
-    certificate of pole absence.
-    """
-    eye = np.eye(f.dimension, dtype=complex)
-    return np.array(
-        [abs(np.linalg.det(eye - f.evaluate(complex(lam, t)))) for t in t_grid]
     )
 
 

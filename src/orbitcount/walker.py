@@ -3,8 +3,10 @@
 A walker starts at a vertex at time 0 and advances at speed 1.  At each
 vertex it draws one uniform variate: the outgoing edges partition [0, sum p)
 and the residual mass 1 - sum p means the walker leaves the graph on the
-spot.  Vertex arrival at exactly the horizon reports an at-vertex outcome;
-edge occupancy follows the half-open convention, matching the exact oracle.
+spot.  Each walker ends with one outcome code: the id of the edge it is on
+at the horizon, -1 if it left the graph first, or a private at-vertex code
+if it arrived at a vertex exactly at the horizon.  Edge occupancy follows
+the half-open convention, matching the exact oracle.
 
 Randomness comes from the counter-based Philox generator keyed by the caller
 seed.  Ensemble run r consumes the uniform block [r*K, (r+1)*K) of that
@@ -17,7 +19,7 @@ give each vertex a row of cumulative probabilities (+inf past its out-degree)
 and a row of slots (its out-edges, then an exit slot of length +inf), so the
 chosen slot is the row start plus the count of cumulative entries <= u:
 the comparison ``searchsorted(side="right")`` makes.  Walkers that stop are
-compacted out of the moving set, and only their final states are written.
+compacted out of the moving set, and only their outcome codes are written.
 """
 
 from __future__ import annotations
@@ -30,27 +32,15 @@ import numpy as np
 from .errors import MissingProbabilities, ValidationError
 from .graph import WeightedDigraph
 
-ON_EDGE = "on_edge"
-AT_VERTEX = "at_vertex"
-EXITED = "exited"
-
 # Per-vertex probability sums within this of 1 are treated as exactly
 # stochastic, so the exit branch is provably never taken.
 STOCHASTIC_SLACK = 1e-12
 
 _BATCH_DRAWS = 1 << 21  # uniforms held in memory at once per batch
 
-
-@dataclass(frozen=True)
-class WalkOutcome:
-    """State of one walker at the horizon (or at its earlier exit)."""
-
-    status: str
-    path_length_traversed: float
-    edge_id: int | None = None
-    offset: float | None = None
-    vertex: int | None = None
-    exit_time: float | None = None
+# Outcome code of a walker sitting at a vertex exactly at the horizon; edge
+# ids are >= 0 and the exit slot's id is -1.
+_AT_VERTEX = -2
 
 
 @dataclass(frozen=True)
@@ -60,23 +50,7 @@ class EnsembleEstimate:
     point_estimate: float
     standard_error: float
     sample_count: int
-    seed: int | None
-
-    @property
-    def successes(self) -> int:
-        return round(self.point_estimate * self.sample_count)
-
-
-def merge_estimates(a: EnsembleEstimate, b: EnsembleEstimate) -> EnsembleEstimate:
-    """Pool two ensembles by adding success and sample counts."""
-    n = a.sample_count + b.sample_count
-    p = (a.successes + b.successes) / n
-    return EnsembleEstimate(
-        point_estimate=p,
-        standard_error=math.sqrt(p * (1.0 - p) / n),
-        sample_count=n,
-        seed=None,
-    )
+    seed: int
 
 
 def _walk_tables(g: WeightedDigraph):
@@ -118,32 +92,12 @@ def _draw_budget(g: WeightedDigraph, horizon: float) -> int:
     return int(traversals) + 2
 
 
-def simulate_walk(g: WeightedDigraph, start: int, horizon: float, seed: int) -> WalkOutcome:
-    """One walk from ``start`` up to time ``horizon``, deterministic in ``seed``.
-
-    It is run 0 of the ensemble with the same seed, so it consumes the same
-    uniforms and ends in the same state.
-    """
-    [(status, edge_id, vertex, t)] = _ensemble_outcomes(g, start, horizon, 1, seed)
-    t = float(t[0])
-    if status[0] == 0:
-        return WalkOutcome(status=AT_VERTEX, path_length_traversed=t, vertex=int(vertex[0]))
-    if status[0] == 2:
-        return WalkOutcome(status=EXITED, path_length_traversed=t, exit_time=t)
-    return WalkOutcome(
-        status=ON_EDGE,
-        path_length_traversed=horizon,
-        edge_id=int(edge_id[0]),
-        offset=horizon - t,
-    )
-
-
 def _ensemble_outcomes(g: WeightedDigraph, start: int, horizon: float, n: int, seed: int):
-    """Yield (status_codes, edge_ids, vertices, times) arrays batch by batch.
+    """Yield one int64 array of outcome codes per batch, one per walker.
 
-    Status codes: 0 at-vertex, 1 on-edge, 2 exited.  ``vertices`` and
-    ``times`` hold each walker's last vertex and its arrival time there (the
-    departure vertex and time of an on-edge walker).
+    A code is the id of the edge the walker is on at the horizon, -1 if it
+    left the graph, or ``_AT_VERTEX`` if it arrived at a vertex exactly at
+    the horizon (as every walker does at T = 0).
     """
     if horizon < 0.0:
         raise ValidationError("horizon must be >= 0")
@@ -158,11 +112,8 @@ def _ensemble_outcomes(g: WeightedDigraph, start: int, horizon: float, n: int, s
     while done < n:
         size = min(batch, n - done)
         uniforms = rng.random((size, k_draws))
-        # Final states, written when a walker stops; at T = 0 nobody moves.
-        status = np.zeros(size, dtype=np.int8)
-        edge_id = np.full(size, -1, dtype=np.int64)
-        vertex = np.full(size, start, dtype=np.int64)
-        times = np.zeros(size)
+        # Outcome codes, written when a walker stops; at T = 0 nobody moves.
+        final = np.full(size, _AT_VERTEX, dtype=np.int64)
         # The walkers still moving: their indices (None while that is all of
         # them), vertices and arrival times.
         idx = None
@@ -180,18 +131,14 @@ def _ensemble_outcomes(g: WeightedDigraph, start: int, horizon: float, n: int, s
             if stop.any():
                 if idx is None:
                     idx = np.arange(size)
-                who, a, e = idx[stop], arrival[stop], ids[slot[stop]]
-                over = a > horizon  # on the edge or exited; else at a vertex at T
-                status[who] = np.where(e < 0, 2, over)
-                edge_id[who] = np.where(over, e, -1)
-                vertex[who] = np.where(over, v[stop], target[slot[stop]])
-                times[who] = np.where(over, t[stop], a)
+                # Past T: on the edge, or exited (slot id -1); else at a vertex.
+                final[idx[stop]] = np.where(arrival[stop] > horizon, ids[slot[stop]], _AT_VERTEX)
                 keep = np.flatnonzero(~stop)
                 idx, slot, arrival = idx.take(keep), slot.take(keep), arrival.take(keep)
             v, t = target.take(slot), arrival
         if v.size:
             raise AssertionError("draw budget exhausted; walk logic violated its bound")
-        yield status, edge_id, vertex, times
+        yield final
         done += size
 
 
@@ -211,8 +158,8 @@ def ensemble_edge_probability(
     """Fraction of n walkers sitting on the given edge at the horizon."""
     alpha = g.edge(edge_ref)
     hits = 0
-    for status, edge_id, _, _ in _ensemble_outcomes(g, start, horizon, n, seed):
-        hits += int(((status == 1) & (edge_id == alpha.id)).sum())
+    for final in _ensemble_outcomes(g, start, horizon, n, seed):
+        hits += int((final == alpha.id).sum())
     return _estimate(hits, n, seed)
 
 
@@ -221,6 +168,6 @@ def ensemble_survival(
 ) -> EnsembleEstimate:
     """Fraction of n walkers that never left the graph by the horizon."""
     hits = 0
-    for status, _, _, _ in _ensemble_outcomes(g, start, horizon, n, seed):
-        hits += int((status != 2).sum())
+    for final in _ensemble_outcomes(g, start, horizon, n, seed):
+        hits += int((final != -1).sum())
     return _estimate(hits, n, seed)

@@ -278,7 +278,8 @@ def loop_ensemble_outcomes(g, start, horizon, n, seed):
 
     The literal per-vertex kernel, kept as the oracle for the library's
     padded-table step: same Philox stream, draw budget and batching, and the
-    same (status, edge_id, vertex, time) arrays batch by batch.
+    same int64 outcome codes batch by batch (the edge id at the horizon, -1
+    after an exit, ``walker._AT_VERTEX`` at a vertex exactly at T).
     """
     tables = {}
     for v in range(1, g.vertex_count + 1):
@@ -301,15 +302,12 @@ def loop_ensemble_outcomes(g, start, horizon, n, seed):
         uniforms = rng.random((size, k_draws))
         vertex = np.full(size, start, dtype=np.int64)
         t = np.zeros(size)
-        status = np.full(size, -1, dtype=np.int8)  # -1 while walking
-        edge_id = np.full(size, -1, dtype=np.int64)
+        walking = np.ones(size, dtype=bool)
+        final = np.full(size, walker._AT_VERTEX, dtype=np.int64)
         for step in range(k_draws):
-            walking = status == -1
+            walking &= t != horizon  # at a vertex exactly at T
             if not walking.any():
                 break
-            at_horizon = walking & (t == horizon)
-            status[at_horizon] = 0
-            walking &= ~at_horizon
             # Snapshot the positions so each walker takes exactly one
             # decision per step, even after moving to a not-yet-visited vertex.
             positions = np.where(walking, vertex, -1)
@@ -319,38 +317,36 @@ def loop_ensemble_outcomes(g, start, horizon, n, seed):
                     continue
                 choice = np.searchsorted(cum, uniforms[idx, step], side="right")
                 exits = choice == len(cum)
-                status[idx[exits]] = 2
+                final[idx[exits]] = -1
+                walking[idx[exits]] = False
                 moves = idx[~exits]
                 picked = choice[~exits]
                 arrival = t[moves] + lengths[picked]
                 onto = arrival > horizon
                 stopped = moves[onto]
-                status[stopped] = 1
-                edge_id[stopped] = ids[picked[onto]]
+                final[stopped] = ids[picked[onto]]
+                walking[stopped] = False
                 go = moves[~onto]
                 vertex[go] = targets[picked[~onto]]
                 t[go] = arrival[~onto]
-        leftover = status == -1
-        if leftover.any() and bool((t[leftover] < horizon).any()):
+        if walking.any() and bool((t[walking] < horizon).any()):
             raise AssertionError("draw budget exhausted; walk logic violated its bound")
-        status[leftover] = 0  # walkers sitting at a vertex exactly at T
-        yield status, edge_id, vertex, t
+        yield final
         done += size
 
 
 def assert_matches_loop_kernel(g, start, horizon, n, seed):
     """Assert the library's ensemble equals the loop reference, batch by batch.
 
-    Every array must match bit for bit and in dtype; returns the statuses.
+    Every batch must match bit for bit and in dtype; returns the outcome codes.
     """
     got = list(walker._ensemble_outcomes(g, start, horizon, n, seed))
     want = list(loop_ensemble_outcomes(g, start, horizon, n, seed))
     assert len(got) == len(want)
     for batch, expected in zip(got, want):
-        for a, b in zip(batch, expected):
-            assert a.dtype == b.dtype
-            assert np.array_equal(a, b)
-    return np.concatenate([batch[0] for batch in got])
+        assert batch.dtype == expected.dtype
+        assert np.array_equal(batch, expected)
+    return np.concatenate(got)
 
 
 @pytest.fixture

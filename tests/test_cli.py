@@ -10,7 +10,9 @@ Claims covered:
     - outputs are byte-for-byte deterministic given the same invocation;
       analyze, count, prob and walk outputs are frozen as golden bytes
     - exit codes: 1 validation (also from checks inside the library), 2
-      numerical failure, 3 budget overflow
+      numerical failure, 3 budget overflow; malformed graph and rule files,
+      bad --alpha ratios and fractional --n generations end in exit 1 with
+      one diagnostic line, not a traceback
     - python -m orbitcount runs the same CLI
     - a parsed-then-serialized graph reparses identically
 """
@@ -47,9 +49,9 @@ def stochastic_path(tmp_path):
     return str(path)
 
 
-@pytest.fixture
-def rule_path(tmp_path):
-    rule = {
+def rule_spec():
+    """The 1/3 : 2/3 interval splitting rule."""
+    return {
         "dimension": 1,
         "prototiles": [
             {
@@ -60,8 +62,12 @@ def rule_path(tmp_path):
             }
         ],
     }
+
+
+@pytest.fixture
+def rule_path(tmp_path):
     path = tmp_path / "rule.json"
-    path.write_text(json.dumps(rule))
+    path.write_text(json.dumps(rule_spec()))
     return str(path)
 
 
@@ -206,6 +212,61 @@ def test_library_validation_exit_1(stochastic_path, capsys, argv, message):
     # in the argument parser; they still end in exit 1, not a traceback.
     assert run([a.format(g=stochastic_path) for a in argv]) == 1
     assert capsys.readouterr().err == f"orbitcount: {message}\n"
+
+
+def _edge1(**fields):
+    def change(spec):
+        spec["edges"][1].update(fields)
+    return change
+
+
+def _child2(**fields):
+    def change(spec):
+        spec["prototiles"][0]["children"][1].update(fields)
+    return change
+
+
+# case: (input file kind, change to the valid input, argv, start of the message)
+MALFORMED = {
+    "graph-from-not-int": ("graph", _edge1(**{"from": "x"}), ["analyze", "{f}"], "edge 1:"),
+    "graph-missing-length": (
+        "graph", lambda spec: spec["edges"][1].pop("length"), ["analyze", "{f}"], "edge 1:"),
+    "graph-edges-not-a-list": (
+        "graph", lambda spec: spec.update(edges=5), ["analyze", "{f}"], "malformed graph spec"),
+    "subst-zero-denominator": (
+        "rule", _child2(scale={"ratio_of": [1, 0]}), ["subst", "{f}"], "prototile 1, child 2:"),
+    "subst-type-not-int": ("rule", _child2(type="x"), ["subst", "{f}"], "prototile 1, child 2:"),
+    "kakutani-rule-zero-denominator": (
+        "rule", _child2(scale={"ratio_of": [1, 0]}), ["kakutani", "--rule", "{f}"],
+        "prototile 1, child 2:"),
+    "kakutani-rule-type-not-int": (
+        "rule", _child2(type="x"), ["kakutani", "--rule", "{f}"], "prototile 1, child 2:"),
+    "kakutani-alpha-zero-denominator": (None, None, ["kakutani", "--alpha", "1/0"], "bad ratio"),
+    "kakutani-alpha-not-a-number": (None, None, ["kakutani", "--alpha", "abc"], "bad ratio"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_malformed_input_exit_1(case, tmp_path, capsys):
+    kind, change, argv, message = MALFORMED[case]
+    path = tmp_path / "input.json"
+    if kind is not None:
+        spec = two_vertex_spec() if kind == "graph" else rule_spec()
+        change(spec)
+        path.write_text(json.dumps(spec))
+    assert run([a.format(f=path) for a in argv]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    [line] = err.splitlines()
+    assert line.startswith(f"orbitcount: {message}")
+
+
+def test_kakutani_generations_must_be_whole(capsys):
+    for grid in ("2.5", "20,2.5"):
+        assert run(["kakutani", "--alpha", "1/3", "--n", grid]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "whole generations" in err
+    assert run(["kakutani", "--alpha", "1/3", "--n", "2.0"]) == 0
 
 
 def test_subst_verifies_rule(rule_path, capsys):

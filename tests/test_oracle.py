@@ -2,7 +2,8 @@
 
 Claims covered:
     - the atom stream is exhaustive below the horizon, ordered by length,
-      includes the empty path, and respects the safety cap
+      includes the empty path, and respects the safety cap; on a graph
+      without edges the class route also gives just the empty path
     - path counts match hand enumerations (compositions into loop lengths,
       shortest connecting paths) and an independent recursive counter
     - the aggregated length-class route agrees exactly with the literal
@@ -132,6 +133,16 @@ def test_empty_path_counts_at_zero(two_vertex):
     assert count_paths_exact(two_vertex, 1, 1, 0.0) == 1
     assert count_paths_exact(two_vertex, 1, 2, 0.0) == 0
     assert count_paths_exact(two_vertex, 1, 1, -1.0) == 0
+
+
+def test_edgeless_graph_has_only_the_empty_path():
+    g = build_graph({"vertices": 1, "edges": []})
+    budget = EnumerationBudget(max_length=5.0)
+    assert [(a.terminal_vertex, a.length) for a in enumerate_paths(g, 1, budget)] == [(1, 0.0)]
+    assert count_paths_exact(g, 1, 1, 5.0) == 1
+    assert count_paths_exact(g, 1, 1, [5.0, -0.5, 0.0]) == [1, 0, 1]
+    assert truncated_laplace_sum(g, 1, 1, 1.7, 5.0) == 1.0
+    assert truncated_laplace_sum(g, 1, 1, complex(1.7, 3.0), 5.0) == 1.0
 
 
 def test_shortest_connecting_path(two_vertex):

@@ -46,7 +46,6 @@ from orbitcount.graph import strong_connectivity
 from orbitcount.spectral import (
     ADJUGATE,
     POWER_LIMIT,
-    critical_line_scan,
     PROJECTION_METHODS,
     MatrixFunction,
     Mode,
@@ -568,27 +567,6 @@ def test_q_is_rank_one_and_positive(two_vertex):
     assert np.all(sol.q > 0)
     singular_values = np.linalg.svd(sol.q, compute_uv=False)
     assert singular_values[1] <= 1e-8 * singular_values[0]
-
-
-def test_critical_line_scan_bounded_away_from_zero(two_vertex):
-    f = MatrixFunction(two_vertex, Mode.COUNTING)
-    grid = np.linspace(0.5, 40.0, 400)
-    values = critical_line_scan(f, 1.0, grid)
-    assert values.min() > 1e-2
-    # Negative control: a lattice spectrum re-vanishes along the line.
-    cycle = build_graph(
-        {
-            "vertices": 2,
-            "edges": [
-                {"from": 1, "to": 2, "length": 1.0},
-                {"from": 2, "to": 1, "length": 1.0},
-            ],
-        }
-    )
-    lattice = critical_line_scan(
-        MatrixFunction(cycle, Mode.COUNTING), 0.0, np.linspace(0.5, 40.0, 400)
-    )
-    assert lattice.min() < 1e-2
 
 
 def test_scale_covariance(two_vertex):

@@ -2,18 +2,17 @@
 
 Claims covered:
     - identical inputs reproduce identical outcomes and estimates bit for bit
-    - a single walk is run 0 of the vectorized ensemble: it matches a walk
-      stepped by hand from the same uniforms
-    - the padded-table ensemble step yields the same arrays, bit for bit and
-      batch by batch, as the per-vertex loop kept in conftest
+    - run 0 of the vectorized ensemble matches a walk stepped by hand from
+      the same uniforms
+    - the padded-table ensemble step yields the same outcome codes, bit for
+      bit and batch by batch, as the per-vertex loop kept in conftest
     - a horizon whose draw budget exceeds one batch, or a start vertex
       outside the graph, is a validation error raised before any draw
-    - the probability-1 loop walk is deterministic: on-edge with the right
-      offset, at-vertex at integer times and at T=0
+    - the probability-1 loop walk is deterministic: on the loop at
+      non-integer times, at the vertex at integer times and at T=0
     - ensemble survival and edge-occupation frequencies agree with the exact
       oracle within four binomial standard errors
     - stochastic graphs never lose a walker (estimate exactly 1, stderr 0)
-    - pooling two half-ensembles reproduces the combined counts
     - log survival decays linearly in the horizon with slope near the
       critical exponent
 """
@@ -27,49 +26,44 @@ from orbitcount import build_graph, walker
 from orbitcount.errors import IndexOutOfRange, ValidationError
 from orbitcount.oracle import edge_probability_exact, survival_exact
 from orbitcount.walker import (
-    AT_VERTEX,
-    EXITED,
-    ON_EDGE,
+    _AT_VERTEX,
     STOCHASTIC_SLACK,
-    WalkOutcome,
     ensemble_edge_probability,
     ensemble_survival,
-    merge_estimates,
-    simulate_walk,
 )
 
 from conftest import assert_matches_loop_kernel, ring_spec, two_vertex_spec
 
 
+def _run_zero(g, start, horizon, seed):
+    """Outcome code of run 0 of the ensemble: an edge id, -1 or _AT_VERTEX."""
+    [final] = walker._ensemble_outcomes(g, start, horizon, 1, seed)
+    return int(final[0])
+
+
+def _kinds(codes):
+    """The outcome kinds among ``codes``: 0 on an edge, -1 exited, _AT_VERTEX."""
+    return set(np.minimum(codes, 0).tolist())
+
+
 def test_unit_loop_walk_is_deterministic(unit_loop):
-    out = simulate_walk(unit_loop, 1, 2.5, seed=1)
-    assert out.status == ON_EDGE
-    assert out.edge_id == 0
-    assert out.offset == pytest.approx(0.5)
-    assert out.path_length_traversed == 2.5
-    assert simulate_walk(unit_loop, 1, 2.5, seed=99) == out
+    assert _run_zero(unit_loop, 1, 2.5, seed=1) == 0
+    assert _run_zero(unit_loop, 1, 2.5, seed=99) == 0
 
 
 def test_walk_at_vertex_events(unit_loop):
-    at_zero = simulate_walk(unit_loop, 1, 0.0, seed=4)
-    assert at_zero.status == AT_VERTEX and at_zero.vertex == 1
-    at_two = simulate_walk(unit_loop, 1, 2.0, seed=4)
-    assert at_two.status == AT_VERTEX and at_two.path_length_traversed == 2.0
+    assert _run_zero(unit_loop, 1, 0.0, seed=4) == _AT_VERTEX
+    assert _run_zero(unit_loop, 1, 2.0, seed=4) == _AT_VERTEX
 
 
 def test_half_loop_walk_exits_eventually(half_loop):
-    statuses = {simulate_walk(half_loop, 1, 40.0, seed=s).status for s in range(40)}
-    assert EXITED in statuses
-    out = simulate_walk(half_loop, 1, 40.0, seed=0)
-    if out.status == EXITED:
-        assert out.exit_time <= 40.0
-        assert out.exit_time == out.path_length_traversed
+    codes = {_run_zero(half_loop, 1, 40.0, seed=s) for s in range(40)}
+    assert -1 in codes
 
 
 def test_walk_reproducible_bitwise(two_vertex_stochastic):
-    a = simulate_walk(two_vertex_stochastic, 1, 7.3, seed=123)
-    b = simulate_walk(two_vertex_stochastic, 1, 7.3, seed=123)
-    assert a == b
+    a = _run_zero(two_vertex_stochastic, 1, 7.3, seed=123)
+    assert _run_zero(two_vertex_stochastic, 1, 7.3, seed=123) == a
 
 
 def _literal_walk(g, start, horizon, seed):
@@ -80,22 +74,17 @@ def _literal_walk(g, start, horizon, seed):
     vertex, t = start, 0.0
     for u in draws:
         if t == horizon:
-            return WalkOutcome(status=AT_VERTEX, path_length_traversed=t, vertex=vertex)
+            return _AT_VERTEX
         edges = g.out_edges(vertex)
         cum = np.cumsum([e.probability for e in edges]) if edges else np.zeros(0)
         if len(cum) and abs(cum[-1] - 1.0) <= STOCHASTIC_SLACK:
             cum[-1] = 1.0
         k = int(np.searchsorted(cum, u, side="right"))
         if k == len(cum):
-            return WalkOutcome(status=EXITED, path_length_traversed=t, exit_time=t)
+            return -1
         arrival = t + edges[k].length
         if arrival > horizon:
-            return WalkOutcome(
-                status=ON_EDGE,
-                path_length_traversed=horizon,
-                edge_id=edges[k].id,
-                offset=horizon - t,
-            )
+            return edges[k].id
         vertex, t = edges[k].target, arrival
     raise AssertionError("draw budget exhausted")
 
@@ -104,13 +93,13 @@ def test_single_walk_is_run_zero_of_the_ensemble():
     # p = 0.9 over two out-edges per vertex: walks end on an edge, at a
     # vertex (T = 2 log 2 is an arrival time) or by leaving the graph.
     g = build_graph(two_vertex_spec(probability=0.45))
-    statuses = set()
+    codes = []
     for seed in range(60):
         for horizon in (0.0, 2 * math.log(2), 7.3, 30.3):
-            out = simulate_walk(g, 1, horizon, seed)
-            assert out == _literal_walk(g, 1, horizon, seed)
-            statuses.add(out.status)
-    assert statuses == {AT_VERTEX, ON_EDGE, EXITED}
+            code = _run_zero(g, 1, horizon, seed)
+            assert code == _literal_walk(g, 1, horizon, seed)
+            codes.append(code)
+    assert _kinds(codes) == {_AT_VERTEX, -1, 0}
 
 
 # Out-degrees 3, 1, 0 and 2; vertex 2 is sub-stochastic between stochastic
@@ -144,15 +133,15 @@ KERNEL_CASES = {
 def test_kernel_matches_vertex_loop_reference(case, monkeypatch):
     spec, start, horizons = KERNEL_CASES[case]
     g = build_graph(spec)
-    statuses = set()
+    kinds = set()
     for horizon in horizons:
-        statuses.update(assert_matches_loop_kernel(g, start, horizon, 3000, seed=5).tolist())
+        kinds |= _kinds(assert_matches_loop_kernel(g, start, horizon, 3000, seed=5))
     # A small batch cap makes every walk set span several batches.
     monkeypatch.setattr(walker, "_BATCH_DRAWS", 256)
     for horizon in horizons:
-        statuses.update(assert_matches_loop_kernel(g, start, horizon, 200, seed=9).tolist())
+        kinds |= _kinds(assert_matches_loop_kernel(g, start, horizon, 200, seed=9))
     if case in ("ragged", "two_vertex_p09"):
-        assert statuses == {0, 1, 2}
+        assert kinds == {_AT_VERTEX, -1, 0}
 
 
 def test_uniform_equal_to_a_cumulative_probability_takes_the_next_edge():
@@ -163,7 +152,7 @@ def test_uniform_equal_to_a_cumulative_probability_takes_the_next_edge():
         {"from": 1, "to": 1, "length": 1.0, "probability": u},
         {"from": 1, "to": 1, "length": 2.0, "probability": 1.0 - u},
     ]})
-    assert simulate_walk(g, 1, 0.5, seed=3).edge_id == 1
+    assert _run_zero(g, 1, 0.5, seed=3) == 1
     assert_matches_loop_kernel(g, 1, 0.5, 1, seed=3)
 
 
@@ -222,16 +211,6 @@ def test_stochastic_ensemble_survival_is_exactly_one(two_vertex_stochastic):
 def test_ensemble_survival_at_time_zero(half_loop):
     est = ensemble_survival(half_loop, 1, 0.0, 5_000, seed=1)
     assert est.point_estimate == 1.0
-
-
-def test_merge_pools_counts(half_loop):
-    a = ensemble_survival(half_loop, 1, 2.5, 30_000, seed=1)
-    b = ensemble_survival(half_loop, 1, 2.5, 50_000, seed=2)
-    pooled = merge_estimates(a, b)
-    assert pooled.sample_count == 80_000
-    assert pooled.successes == a.successes + b.successes
-    lo, hi = sorted((a.point_estimate, b.point_estimate))
-    assert lo <= pooled.point_estimate <= hi
 
 
 def test_survival_decay_slope_near_exponent(half_loop):
