@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PropertyViolated, ValidationError, VolumeNotConserved
-from .graph import Edge, WeightedDigraph
+from .graph import Edge, WeightedDigraph, _whole_number
 from .spectral import MatrixFunction, Mode, solve_lambda
 
 VOLUME_TOLERANCE = 1e-12
@@ -86,10 +86,10 @@ class SplitRule:
                     if isinstance(scale, dict):
                         p, q = scale["ratio_of"]
                         scale = p / q
-                    children.append((int(child["type"]), float(scale)))
+                    children.append((_whole_number(child["type"]), float(scale)))
                 prototiles.append(tuple(children))
             where = "rule"
-            dimension = int(spec["dimension"])
+            dimension = _whole_number(spec["dimension"])
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ValidationError(f"{where}: bad or missing field: {exc}") from exc
         return cls(dimension=dimension, prototiles=tuple(prototiles))

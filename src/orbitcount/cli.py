@@ -33,7 +33,7 @@ from .errors import (
     OrbitCountError,
     ValidationError,
 )
-from .graph import build_graph, graph_to_dict, incommensurability_check, strong_connectivity
+from .graph import build_graph, graph_to_dict, incommensurability_check
 from .spectral import MatrixFunction, Mode, solve_lambda
 
 _MODES = {"counting": Mode.COUNTING, "probability": Mode.PROBABILITY, "edge": Mode.EDGE}
@@ -140,14 +140,12 @@ def _max_paths(args) -> int:
 
 def _cmd_analyze(fmt: str, args, stream) -> int:
     g = _load_graph_arg(args.graph)
-    report = strong_connectivity(g)
+    # solve_lambda raises unless the graph is strongly connected.
+    sol = solve_lambda(MatrixFunction(g, _MODES[args.mode]))
     rows = [
         ("vertices", g.vertex_count),
         ("edges", g.edge_count),
-        ("strongly_connected", report.strongly_connected),
-    ]
-    sol = solve_lambda(MatrixFunction(g, _MODES[args.mode]))
-    rows += [
+        ("strongly_connected", True),
         ("mode", args.mode),
         ("lambda", sol.lam),
         ("mu_residual", sol.residual),
@@ -175,32 +173,30 @@ def _cmd_analyze(fmt: str, args, stream) -> int:
 
 
 def _indices(args) -> tuple:
-    """``--from``, then ``--to`` for families A and C or ``--edge`` for B and D."""
-    if args.family in ("A", "C"):
-        if args.to is None:
-            raise ValidationError(f"family {args.family} needs --to")
-        return (args.start, args.to)
-    if args.family in ("B", "D"):
-        if args.edge is None:
-            raise ValidationError(f"family {args.family} needs --edge")
-        return (args.start, _edge_ref(args.edge))
-    return (args.start,)
+    """``--from``, then the option the family's second index names: ``--to`` or ``--edge``."""
+    index = asy.FAMILIES[args.family][1]
+    if index is None:
+        return (args.start,)
+    ref = getattr(args, index)
+    if ref is None:
+        raise ValidationError(f"family {args.family} needs --{index}")
+    return (args.start, _edge_ref(ref) if index == "edge" else ref)
 
 
-def _exact_vs_asymptotic(args, mode: Mode, grid_text: str, name: str) -> list[tuple]:
+def _exact_vs_asymptotic(args, grid_text: str, name: str) -> list[tuple]:
     """(point, exact, asymptotic, ratio) rows, the exact column from one oracle call."""
     g = _load_graph_arg(args.graph)
-    sol = solve_lambda(MatrixFunction(g, mode))
+    sol = solve_lambda(MatrixFunction(g, asy.FAMILIES[args.family][0]))
     indices = _indices(args)
-    exact_fn, approx_fn = {
-        "A": (oracle.count_paths_exact, asy.count_paths_asymptotic),
-        "B": (oracle.count_edge_hits_exact, asy.count_edge_hits_asymptotic),
-        "C": (oracle.vertex_probability_atoms, asy.vertex_probability_asymptotic),
-        "D": (oracle.edge_probability_exact, asy.edge_probability_asymptotic),
-        "survival": (oracle.survival_exact, asy.survival_probability_asymptotic),
+    exact_fn = {
+        "A": oracle.count_paths_exact,
+        "B": oracle.count_edge_hits_exact,
+        "C": oracle.vertex_probability_atoms,
+        "D": oracle.edge_probability_exact,
+        "survival": oracle.survival_exact,
     }[args.family]
     options = {"window": args.window} if args.family == "C" else {}
-    estimate = approx_fn(sol, *indices)
+    estimate = asy.leading_estimate(sol, args.family, indices)
     grid = _parse_grid(grid_text, name)
     exact = exact_fn(g, *indices, grid, max_paths=_max_paths(args), **options)
     rows = []
@@ -211,13 +207,13 @@ def _exact_vs_asymptotic(args, mode: Mode, grid_text: str, name: str) -> list[tu
 
 
 def _cmd_count(fmt: str, args, stream) -> int:
-    rows = _exact_vs_asymptotic(args, Mode.COUNTING, args.x, "x")
+    rows = _exact_vs_asymptotic(args, args.x, "x")
     _emit(fmt, ["x", "exact", "asymptotic", "ratio"], rows, stream)
     return 0
 
 
 def _cmd_prob(fmt: str, args, stream) -> int:
-    rows = _exact_vs_asymptotic(args, Mode.PROBABILITY, args.times, "T")
+    rows = _exact_vs_asymptotic(args, args.times, "T")
     rows = [row + (args.window,) for row in rows]
     _emit(fmt, ["T", "exact", "asymptotic", "ratio", "window"], rows, stream)
     return 0
@@ -297,8 +293,7 @@ def _cmd_subst(fmt: str, args, stream) -> int:
 
 def _cmd_laplace(fmt: str, args, stream) -> int:
     g = _load_graph_arg(args.graph)
-    mode = Mode.COUNTING if args.family in ("A", "B") else Mode.PROBABILITY
-    f = MatrixFunction(g, mode)
+    f = MatrixFunction(g, asy.FAMILIES[args.family][0])
     indices = _indices(args)
     lam = solve_lambda(f).lam
     if args.scan:
@@ -319,6 +314,11 @@ def _cmd_laplace(fmt: str, args, stream) -> int:
 
 
 # -- parser / entry point ----------------------------------------------------------
+
+
+def _families(mode: Mode) -> list[str]:
+    """The ``--family`` choices of one mode, in table order."""
+    return [f for f, (family_mode, _) in asy.FAMILIES.items() if family_mode is mode]
 
 
 @functools.cache
@@ -348,7 +348,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("count", help="exact vs asymptotic path counts (families A/B)")
     common(p)
-    p.add_argument("--family", choices=("A", "B"), required=True)
+    p.add_argument("--family", choices=_families(Mode.COUNTING), required=True)
     p.add_argument("--from", dest="start", type=int, required=True)
     p.add_argument("--to", type=int, default=None)
     p.add_argument("--edge", default=None)
@@ -358,7 +358,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("prob", help="exact vs asymptotic walk probabilities (C/D/survival)")
     common(p)
-    p.add_argument("--family", choices=("C", "D", "survival"), required=True)
+    p.add_argument("--family", choices=_families(Mode.PROBABILITY), required=True)
     p.add_argument("--from", dest="start", type=int, required=True)
     p.add_argument("--to", type=int, default=None)
     p.add_argument("--edge", default=None)
@@ -395,7 +395,9 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("laplace", help="transform values and pole-residue scan")
     common(p)
-    p.add_argument("--family", choices=("A", "B", "C", "D"), required=True)
+    p.add_argument(
+        "--family", choices=[f for f, (_, index) in asy.FAMILIES.items() if index], required=True
+    )
     p.add_argument("--from", dest="start", type=int, required=True)
     p.add_argument("--to", type=int, default=None)
     p.add_argument("--edge", default=None)

@@ -166,6 +166,13 @@ INCONCLUSIVE = "inconclusive"
 # -- construction / serialization ----------------------------------------------
 
 
+def _whole_number(raw) -> int:
+    """``int(raw)``, refusing a boolean or a number with a fractional part."""
+    if isinstance(raw, bool) or (isinstance(raw, float) and not raw.is_integer()):
+        raise ValueError(f"{raw!r} is not a whole number")
+    return int(raw)
+
+
 def _parse_length(raw, edge_index):
     if isinstance(raw, dict):
         if set(raw) != {"log_of"}:
@@ -184,7 +191,7 @@ def _parse_length(raw, edge_index):
 def build_graph(spec: dict) -> WeightedDigraph:
     """Validate a raw graph description and build a :class:`WeightedDigraph`."""
     try:
-        n = int(spec["vertices"])
+        n = _whole_number(spec["vertices"])
         raw_edges = list(spec["edges"])
     except (KeyError, TypeError, ValueError) as exc:
         raise IndexOutOfRange(f"malformed graph spec: {exc}") from exc
@@ -194,8 +201,8 @@ def build_graph(spec: dict) -> WeightedDigraph:
             prob = item.get("probability")
             edge = Edge(
                 id=k,
-                source=int(item["from"]),
-                target=int(item["to"]),
+                source=_whole_number(item["from"]),
+                target=_whole_number(item["to"]),
                 length=_parse_length(item["length"], k),
                 probability=None if prob is None else float(prob),
                 name=item.get("name"),

@@ -8,11 +8,14 @@ Claims covered:
     - kakutani and subst cover the partitions, discrepancy table and rule
       verification; laplace covers values and the residue scan
     - outputs are byte-for-byte deterministic given the same invocation;
-      analyze, count, prob and walk outputs are frozen as golden bytes
+      analyze, count, prob, walk and laplace outputs are frozen as golden
+      bytes
     - exit codes: 1 validation (also from checks inside the library), 2
-      numerical failure, 3 budget overflow; malformed graph and rule files,
-      bad --alpha ratios and fractional --n generations end in exit 1 with
-      one diagnostic line, not a traceback
+      numerical failure, 3 budget overflow; malformed graph and rule files
+      (fractional or boolean vertex counts, endpoints, types and dimensions
+      among them), bad --alpha ratios, fractional --n generations, vertex
+      indices outside the graph and a family without its --to or --edge end
+      in exit 1 with one diagnostic line, not a traceback
     - python -m orbitcount runs the same CLI
     - a parsed-then-serialized graph reparses identically
 """
@@ -203,9 +206,16 @@ def test_walk_unbounded_horizon_and_bad_start_exit_1(stochastic_path, capsys):
          "window must be finite and >= 0"),
         (["kakutani", "--alpha", "1/3", "--threshold", "-1"],
          "threshold exponent must be >= 0"),
+        (["count", "{g}", "--family", "A", "--from", "1", "--to", "3", "--x", "4"],
+         "vertex 3 outside 1..2"),
+        (["laplace", "{g}", "--family", "A", "--from", "3", "--to", "1", "--s", "2"],
+         "vertex 3 outside 1..2"),
+        (["laplace", "{g}", "--family", "D", "--from", "0", "--edge", "0", "--scan"],
+         "vertex 0 outside 1..2"),
     ],
     ids=["walk-n0", "prob-negative-window", "prob-nan-window", "prob-inf-window",
-         "kakutani-negative-threshold"],
+         "kakutani-negative-threshold", "count-target-out-of-range",
+         "laplace-start-out-of-range", "laplace-start-zero"],
 )
 def test_library_validation_exit_1(stochastic_path, capsys, argv, message):
     # These checks live in the walker, the oracle and the splitting code, not
@@ -233,9 +243,20 @@ MALFORMED = {
         "graph", lambda spec: spec["edges"][1].pop("length"), ["analyze", "{f}"], "edge 1:"),
     "graph-edges-not-a-list": (
         "graph", lambda spec: spec.update(edges=5), ["analyze", "{f}"], "malformed graph spec"),
+    "graph-vertices-fractional": (
+        "graph", lambda spec: spec.update(vertices=2.5), ["analyze", "{f}"],
+        "malformed graph spec"),
+    "graph-from-fractional": ("graph", _edge1(**{"from": 1.9}), ["analyze", "{f}"], "edge 1:"),
+    "graph-to-boolean": ("graph", _edge1(to=True), ["analyze", "{f}"], "edge 1:"),
     "subst-zero-denominator": (
         "rule", _child2(scale={"ratio_of": [1, 0]}), ["subst", "{f}"], "prototile 1, child 2:"),
     "subst-type-not-int": ("rule", _child2(type="x"), ["subst", "{f}"], "prototile 1, child 2:"),
+    "subst-type-fractional": (
+        "rule", _child2(type=1.7), ["subst", "{f}"], "prototile 1, child 2:"),
+    "subst-dimension-fractional": (
+        "rule", lambda spec: spec.update(dimension=1.5), ["subst", "{f}"], "rule:"),
+    "kakutani-rule-type-boolean": (
+        "rule", _child2(type=True), ["kakutani", "--rule", "{f}"], "prototile 1, child 2:"),
     "kakutani-rule-zero-denominator": (
         "rule", _child2(scale={"ratio_of": [1, 0]}), ["kakutani", "--rule", "{f}"],
         "prototile 1, child 2:"),
@@ -993,3 +1014,275 @@ def test_walk_golden_bytes(graph, argv, expected, tmp_path, capsys):
     path.write_text(json.dumps(WALK_GRAPHS[graph]))
     assert run(["walk", str(path), "--from", "1", *argv]) == 0
     assert capsys.readouterr().out == expected
+
+
+# -- golden bytes for laplace ---------------------------------------------------------
+
+LAPLACE_GRAPHS = {
+    "p1": two_vertex_spec(probability=0.5),
+    "p09": two_vertex_spec(probability=0.45),
+    "ring20": ring_spec(20, 20, 0.9),
+}
+
+# Exact stdout of laplace for every family at a real point, a complex point
+# and the pole-residue scan, frozen while each family's factor was written out
+# twice (once in its estimator, once in the transform); any change to a digit
+# is a regression.
+LAPLACE_GOLDEN = [
+    (
+        'p1',
+        ['--family', 'A', '--from', '1', '--to', '2', '--s', '2.5'],
+        (
+            's,value,value_imag,lambda\n'
+            '2.5,0.0945667422866,0,1\n'
+        ),
+    ),
+    (
+        'p1',
+        ['--family', 'A', '--from', '1', '--to', '2', '--s', '3+4j'],
+        (
+            's,value,value_imag,lambda\n'
+            '3+4j,-0.0187004832808,0.0119936677591,1\n'
+        ),
+    ),
+    (
+        'p1',
+        ['--family', 'A', '--from', '1', '--to', '2', '--scan'],
+        (
+            'epsilon,residue_estimate,residue_imag\n'
+            '0.01,0.488920235202,0\n'
+            '0.001,0.493813443719,0\n'
+            '0.0001,0.494307245396,0\n'
+            '1e-05,0.494356670802,0\n'
+            '1e-06,0.494361613828,0\n'
+        ),
+    ),
+    (
+        'p1',
+        ['--family', 'B', '--from', '2', '--edge', 'beta', '--s', '2.5'],
+        (
+            's,value,value_imag,lambda\n'
+            '2.5,0.188060239731,0,1\n'
+        ),
+    ),
+    (
+        'p1',
+        ['--family', 'B', '--from', '2', '--edge', 'beta', '--s', '3+4j'],
+        (
+            's,value,value_imag,lambda\n'
+            '3+4j,-0.0438299645057,-0.0280824011217,1\n'
+        ),
+    ),
+    (
+        'p1',
+        ['--family', 'B', '--from', '2', '--edge', 'beta', '--scan'],
+        (
+            'epsilon,residue_estimate,residue_imag\n'
+            '0.01,0.492578963329,0\n'
+            '0.001,0.494183623208,0\n'
+            '0.0001,0.494344306852,0\n'
+            '1e-05,0.494360377383,0\n'
+            '1e-06,0.49436198449,0\n'
+        ),
+    ),
+    (
+        'p09',
+        ['--family', 'C', '--from', '1', '--to', '1', '--s', '2.5'],
+        (
+            's,value,value_imag,lambda\n'
+            '2.5,1.10477252853,0,-0.147203318833\n'
+        ),
+    ),
+    (
+        'p09',
+        ['--family', 'C', '--from', '1', '--to', '1', '--s', '3+4j'],
+        (
+            's,value,value_imag,lambda\n'
+            '3+4j,0.948409664633,-0.0124953945195,-0.147203318833\n'
+        ),
+    ),
+    (
+        'p09',
+        ['--family', 'C', '--from', '1', '--to', '1', '--scan'],
+        (
+            'epsilon,residue_estimate,residue_imag\n'
+            '0.01,0.932448246003,0\n'
+            '0.001,0.927135093744,0\n'
+            '0.0001,0.926604581909,0\n'
+            '1e-05,0.926551651982,0\n'
+            '1e-06,0.926547492306,0\n'
+        ),
+    ),
+    (
+        'p09',
+        ['--family', 'D', '--from', '1', '--edge', 'gamma2', '--s', '2.5'],
+        (
+            's,value,value_imag,lambda\n'
+            '2.5,0.0148043426023,0,-0.147203318833\n'
+        ),
+    ),
+    (
+        'p09',
+        ['--family', 'D', '--from', '1', '--edge', 'gamma2', '--s', '3+4j'],
+        (
+            's,value,value_imag,lambda\n'
+            '3+4j,-0.0039941819361,0.00276925263264,-0.147203318833\n'
+        ),
+    ),
+    (
+        'p09',
+        ['--family', 'D', '--from', '1', '--edge', 'gamma2', '--scan'],
+        (
+            'epsilon,residue_estimate,residue_imag\n'
+            '0.01,0.246228831631,0\n'
+            '0.001,0.247610575136,0\n'
+            '0.0001,0.247749054941,0\n'
+            '1e-05,0.247762936248,0\n'
+            '1e-06,0.247764627445,0\n'
+        ),
+    ),
+    (
+        'ring20',
+        ['--family', 'A', '--from', '3', '--to', '17', '--s', '2.5'],
+        (
+            's,value,value_imag,lambda\n'
+            '2.5,1.00708402111e-05,0,1.08428540597\n'
+        ),
+    ),
+    (
+        'ring20',
+        ['--family', 'A', '--from', '3', '--to', '17', '--s', '3+4j'],
+        (
+            's,value,value_imag,lambda\n'
+            '3+4j,-1.0278652343e-07,-2.47419175117e-07,1.08428540597\n'
+        ),
+    ),
+    (
+        'ring20',
+        ['--family', 'A', '--from', '3', '--to', '17', '--scan'],
+        (
+            'epsilon,residue_estimate,residue_imag\n'
+            '0.01,0.0213986674862,0\n'
+            '0.001,0.0225153696263,0\n'
+            '0.0001,0.0226303177353,0\n'
+            '1e-05,0.0226418468281,0\n'
+            '1e-06,0.0226430083739,0\n'
+        ),
+    ),
+    (
+        'ring20',
+        ['--family', 'B', '--from', '3', '--edge', '7', '--s', '2.5'],
+        (
+            's,value,value_imag,lambda\n'
+            '2.5,0.365371083288,0,1.08428540597\n'
+        ),
+    ),
+    (
+        'ring20',
+        ['--family', 'B', '--from', '3', '--edge', '7', '--s', '3+4j'],
+        (
+            's,value,value_imag,lambda\n'
+            '3+4j,0.118626754897,-0.170524966529,1.08428540597\n'
+        ),
+    ),
+    (
+        'ring20',
+        ['--family', 'B', '--from', '3', '--edge', '7', '--scan'],
+        (
+            'epsilon,residue_estimate,residue_imag\n'
+            '0.01,0.00772331589348,0\n'
+            '0.001,0.00243420777603,0\n'
+            '0.0001,0.00190355657204,0\n'
+            '1e-05,0.00185047415969,0\n'
+            '1e-06,0.00184516642115,0\n'
+        ),
+    ),
+    (
+        'ring20',
+        ['--family', 'C', '--from', '3', '--to', '17', '--s', '2.5'],
+        (
+            's,value,value_imag,lambda\n'
+            '2.5,3.43814608063e-08,0,-0.0893084665749\n'
+        ),
+    ),
+    (
+        'ring20',
+        ['--family', 'C', '--from', '3', '--to', '17', '--s', '3+4j'],
+        (
+            's,value,value_imag,lambda\n'
+            '3+4j,1.80384381535e-09,-1.67712868892e-09,-0.0893084665749\n'
+        ),
+    ),
+    (
+        'ring20',
+        ['--family', 'C', '--from', '3', '--to', '17', '--scan'],
+        (
+            'epsilon,residue_estimate,residue_imag\n'
+            '0.01,0.00941997127594,0\n'
+            '0.001,0.00980233698707,0\n'
+            '0.0001,0.00984139978881,0\n'
+            '1e-05,0.0098453144652,0\n'
+            '1e-06,0.00984570623329,0\n'
+        ),
+    ),
+    (
+        'ring20',
+        ['--family', 'D', '--from', '3', '--edge', '7', '--s', '2.5'],
+        (
+            's,value,value_imag,lambda\n'
+            '2.5,0.109611294286,0,-0.0893084665749\n'
+        ),
+    ),
+    (
+        'ring20',
+        ['--family', 'D', '--from', '3', '--edge', '7', '--s', '3+4j'],
+        (
+            's,value,value_imag,lambda\n'
+            '3+4j,0.0355880260311,-0.0511574897208,-0.0893084665749\n'
+        ),
+    ),
+    (
+        'ring20',
+        ['--family', 'D', '--from', '3', '--edge', '7', '--scan'],
+        (
+            'epsilon,residue_estimate,residue_imag\n'
+            '0.01,0.00592394403307,0\n'
+            '0.001,0.00333733000983,0\n'
+            '0.0001,0.00307778911236,0\n'
+            '1e-05,0.00305182627943,0\n'
+            '1e-06,0.00304922997576,0\n'
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "graph, argv, expected",
+    LAPLACE_GOLDEN,
+    ids=[f"{g}-{a[1]}-{a[-1]}" for g, a, _ in LAPLACE_GOLDEN],
+)
+def test_laplace_golden_bytes(graph, argv, expected, tmp_path, capsys):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(LAPLACE_GRAPHS[graph]))
+    assert run(["laplace", str(path), *argv]) == 0
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--family", "A", "--x", "4"],
+        ["count", "--family", "B", "--x", "4"],
+        ["prob", "--family", "C", "--T", "4"],
+        ["prob", "--family", "D", "--T", "4"],
+        ["laplace", "--family", "A", "--s", "2"],
+        ["laplace", "--family", "B", "--s", "2"],
+        ["laplace", "--family", "C", "--s", "2"],
+        ["laplace", "--family", "D", "--scan"],
+    ],
+    ids=lambda argv: f"{argv[0]}-{argv[2]}",
+)
+def test_family_without_its_second_index_exit_1(argv, stochastic_path, capsys):
+    assert run([argv[0], stochastic_path, "--from", "1", *argv[1:]]) == 1
+    flag = "--to" if argv[2] in ("A", "C") else "--edge"
+    assert capsys.readouterr() == ("", f"orbitcount: family {argv[2]} needs {flag}\n")
