@@ -163,12 +163,15 @@ def laplace_transform(f: MatrixFunction, family: str, indices, s, lam: float | N
 
     ``indices`` is (i, j) for families A and C, (i, edge) for B and D.  The
     transform is analytic for Re(s) > lam with a simple pole at lam; points
-    with Re(s) <= lam raise DomainError.  ``lam`` may be passed to skip the
-    internal critical-exponent solve when evaluating on a grid.
+    with Re(s) <= lam or a non-finite part raise DomainError.  ``lam`` may be
+    passed to skip the internal critical-exponent solve when evaluating on a
+    grid.
     """
     index = _second_index(family, f.mode)
     if index is None:
         raise ValidationError(f"no transform for family {family!r}")
+    if not cmath.isfinite(s):
+        raise DomainError(f"s must be finite, got {s!r}")
     if lam is None:
         lam = solve_lambda(f).lam
     if np.real(s) <= lam:

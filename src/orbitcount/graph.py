@@ -18,6 +18,8 @@ like log 2 or log 3/2 can be entered exactly.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import json
 import math
 import re
@@ -293,31 +295,50 @@ def strong_connectivity(g: WeightedDigraph) -> ConnectivityReport:
 # -- cycles and incommensurability -----------------------------------------------
 
 
-def cycle_lengths(g: WeightedDigraph, max_edges: int | None = None) -> list[float]:
-    """Lengths of all simple directed cycles with at most ``max_edges`` edges.
+def _cycles_shortest_first(g: WeightedDigraph, max_edges: int | None):
+    """Yield the length of every simple cycle, shortest first (best-first search).
 
-    Each cycle is counted once up to rotation (canonical start at its smallest
-    vertex); parallel edges yield distinct cycles.  Sorted ascending.
+    A heap holds partial paths ``(total, tiebreak, start, vertex, used,
+    visited)``, one seed per start vertex; ``visited`` is a bitmask of the
+    path's vertices, and a path only extends to vertices above ``start``, so
+    each cycle is found once, from its smallest vertex.  A path has fewer
+    than ``max_edges`` edges, so it may always close: closing it back to its
+    start pushes a finished entry (``vertex`` None) keyed by the cycle's
+    length, yielded when popped.  Lengths are summed along the path from 0.0,
+    and a child's key is never below its parent's (lengths are positive,
+    rounding is monotone), so cycles come out in ascending order.  The
+    counter breaks ties, so no two entries are compared past it.
     """
     if max_edges is None:
         max_edges = g.vertex_count
     if max_edges < 1:
         raise IndexOutOfRange(f"max_edges must be >= 1, got {max_edges}")
-    lengths: list[float] = []
+    n = g.vertex_count
+    out = [None] + [[(e.target, e.length) for e in g.out_edges(v)] for v in range(1, n + 1)]
+    tiebreak = itertools.count().__next__
+    push, pop = heapq.heappush, heapq.heappop
+    heap = [(0.0, tiebreak(), v, v, 0, 1 << v) for v in range(1, n + 1)]
+    while heap:
+        total, _, start, vertex, used, visited = pop(heap)
+        if vertex is None:
+            yield total
+            continue
+        used += 1
+        for t, length in out[vertex]:
+            if t == start:
+                push(heap, (total + length, tiebreak(), start, None, 0, 0))
+            elif t > start and used < max_edges and not visited >> t & 1:
+                push(heap, (total + length, tiebreak(), start, t, used, visited | 1 << t))
 
-    def explore(start, vertex, used, total, visited):
-        for e in g.out_edges(vertex):
-            if e.target == start and used + 1 <= max_edges:
-                lengths.append(total + e.length)
-            if e.target > start and e.target not in visited and used + 1 < max_edges:
-                visited.add(e.target)
-                explore(start, e.target, used + 1, total + e.length, visited)
-                visited.discard(e.target)
 
-    for start in range(1, g.vertex_count + 1):
-        explore(start, start, 0, 0.0, {start})
-    lengths.sort()
-    return lengths
+def cycle_lengths(g: WeightedDigraph, max_edges: int | None = None) -> list[float]:
+    """Lengths of all simple directed cycles with at most ``max_edges`` edges.
+
+    Each cycle is counted once up to rotation (canonical start at its smallest
+    vertex); parallel edges yield distinct cycles.  Sorted ascending: the list
+    of the best-first search, which yields cycles shortest first.
+    """
+    return list(_cycles_shortest_first(g, max_edges))
 
 
 def _best_rational(ratio: float, max_denominator: int):
@@ -344,6 +365,21 @@ def _best_rational(ratio: float, max_denominator: int):
     return p, q
 
 
+def _ascending_pairs(lengths):
+    """Pairs ``(a_i, a_j)``, i < j, of an iterator in (i outer, j inner) order.
+
+    The pairs ``(a_0, a_j)`` come first, so the iterator is advanced one
+    element per pair until it runs out; only then are the later rows scanned.
+    """
+    seen = list(itertools.islice(lengths, 1))
+    for b in lengths:
+        seen.append(b)
+        yield seen[0], b
+    for i in range(1, len(seen)):
+        for j in range(i + 1, len(seen)):
+            yield seen[i], seen[j]
+
+
 def incommensurability_check(
     g: WeightedDigraph,
     max_edges: int | None = None,
@@ -352,31 +388,33 @@ def incommensurability_check(
 ) -> IncommensurabilityVerdict:
     """Scan cycle-length pairs for a ratio with no small rational approximation.
 
-    Returns a witness pair (a, b) as soon as min over convergents p/q,
-    q <= max_denominator, of |a*q - b*p| exceeds ``tolerance``; reports
-    commensurable-within-tolerance when every pair admits an approximation,
-    and inconclusive when fewer than two cycles exist.
+    Pairs (a, b) of the ascending cycle lengths are scanned with a the shorter,
+    shortest a first and then shortest b; cycles are drawn from the
+    best-first search only as the scan reaches them, so it stops at the first
+    witness: a pair whose min over convergents p/q, q <= max_denominator, of
+    |a*q - b*p| exceeds ``tolerance``.  Reports commensurable-within-tolerance
+    (with the first pair's approximation) when every pair admits one, which
+    reads every cycle, and inconclusive when fewer than two cycles exist.
     """
-    if tolerance <= 0:
-        raise IndexOutOfRange("tolerance must be positive")
-    lengths = cycle_lengths(g, max_edges)
-    if len(lengths) < 2:
+    if not (tolerance > 0 and math.isfinite(tolerance)):
+        raise IndexOutOfRange(f"tolerance must be positive and finite, got {tolerance!r}")
+    if max_denominator < 1:
+        raise IndexOutOfRange(f"max_denominator must be >= 1, got {max_denominator!r}")
+    first_approx = None
+    for a, b in _ascending_pairs(_cycles_shortest_first(g, max_edges)):
+        p, q = _best_rational(a / b, max_denominator)
+        residual = abs(a * q - b * p)
+        if residual > tolerance:
+            return IncommensurabilityVerdict(
+                status=INCOMMENSURABLE_WITNESS,
+                witness=(a, b),
+                rational_approx=(p, q, residual),
+            )
+        if first_approx is None:
+            first_approx = (p, q, residual)
+    if first_approx is None:
         return IncommensurabilityVerdict(status=INCONCLUSIVE)
-    best_approx = None
-    for i in range(len(lengths)):
-        for j in range(i + 1, len(lengths)):
-            a, b = lengths[i], lengths[j]
-            p, q = _best_rational(a / b, max_denominator)
-            residual = abs(a * q - b * p)
-            if residual > tolerance:
-                return IncommensurabilityVerdict(
-                    status=INCOMMENSURABLE_WITNESS,
-                    witness=(a, b),
-                    rational_approx=(p, q, residual),
-                )
-            if best_approx is None:
-                best_approx = (p, q, residual)
     return IncommensurabilityVerdict(
         status=COMMENSURABLE_WITHIN_TOLERANCE,
-        rational_approx=best_approx,
+        rational_approx=first_approx,
     )

@@ -2,8 +2,9 @@
 
 Fixtures: the canonical two-vertex example and small loop graphs.  References
 kept as oracles for the library's faster routes: the cofactor adjugate, the
-per-vertex walk loop, and the best-first heap over length-class rows with
-the per-class grid sweep of every count/prob family.
+per-vertex walk loop, the best-first heap over length-class rows with the
+per-class grid sweep of every count/prob family, and the recursive cycle
+DFS with the incommensurability scan over its full sorted list.
 """
 
 import bisect
@@ -16,7 +17,7 @@ import random
 import numpy as np
 import pytest
 
-from orbitcount import build_graph, oracle, walker
+from orbitcount import build_graph, graph, oracle, walker
 
 
 def two_vertex_spec(probability=None):
@@ -347,6 +348,57 @@ def assert_matches_loop_kernel(g, start, horizon, n, seed):
         assert batch.dtype == expected.dtype
         assert np.array_equal(batch, expected)
     return np.concatenate(got)
+
+
+def dfs_cycle_lengths(g, max_edges=None):
+    """Sorted lengths of every simple cycle, found by a recursive DFS.
+
+    The literal enumeration, kept as the oracle for the library's best-first
+    search: canonical start at the cycle's smallest vertex, parallel edges
+    distinct, each length summed along the path from 0.0.
+    """
+    if max_edges is None:
+        max_edges = g.vertex_count
+    lengths = []
+
+    def explore(start, vertex, used, total, visited):
+        for e in g.out_edges(vertex):
+            if e.target == start and used + 1 <= max_edges:
+                lengths.append(total + e.length)
+            if e.target > start and e.target not in visited and used + 1 < max_edges:
+                visited.add(e.target)
+                explore(start, e.target, used + 1, total + e.length, visited)
+                visited.discard(e.target)
+
+    for start in range(1, g.vertex_count + 1):
+        explore(start, start, 0, 0.0, {start})
+    lengths.sort()
+    return lengths
+
+
+def dfs_incommensurability_check(g, max_edges=None, max_denominator=10**6, tolerance=1e-12):
+    """The incommensurability scan over the DFS's full sorted list of lengths."""
+    lengths = dfs_cycle_lengths(g, max_edges)
+    if len(lengths) < 2:
+        return graph.IncommensurabilityVerdict(status=graph.INCONCLUSIVE)
+    first_approx = None
+    for i in range(len(lengths)):
+        for j in range(i + 1, len(lengths)):
+            a, b = lengths[i], lengths[j]
+            p, q = graph._best_rational(a / b, max_denominator)
+            residual = abs(a * q - b * p)
+            if residual > tolerance:
+                return graph.IncommensurabilityVerdict(
+                    status=graph.INCOMMENSURABLE_WITNESS,
+                    witness=(a, b),
+                    rational_approx=(p, q, residual),
+                )
+            if first_approx is None:
+                first_approx = (p, q, residual)
+    return graph.IncommensurabilityVerdict(
+        status=graph.COMMENSURABLE_WITHIN_TOLERANCE,
+        rational_approx=first_approx,
+    )
 
 
 @pytest.fixture

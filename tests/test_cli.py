@@ -14,9 +14,13 @@ Claims covered:
       numerical failure, 3 budget overflow; malformed graph and rule files
       (fractional or boolean vertex counts, endpoints, types and dimensions
       among them), bad --alpha ratios, fractional --n generations, vertex
-      indices outside the graph and a family without its --to or --edge end
-      in exit 1 with one diagnostic line, not a traceback
+      indices outside the graph, a family without its --to or --edge, a
+      non-finite laplace --s, an analyze --tolerance that is not positive
+      and finite and an analyze --max-denominator or --max-edges below 1
+      end in exit 1 with one diagnostic line, not a traceback
     - python -m orbitcount runs the same CLI
+    - analyze on a 100-vertex ring with the default cycle bound finishes
+      within 20 s, its witness the two shortest cycles
     - a parsed-then-serialized graph reparses identically
 """
 
@@ -35,7 +39,7 @@ from orbitcount import build_graph, graph_to_dict
 from orbitcount.cli import run
 from orbitcount.spectral import MatrixFunction, Mode, solve_lambda
 
-from conftest import cofactor_adjugate, ring_spec, two_vertex_spec
+from conftest import cofactor_adjugate, dfs_cycle_lengths, ring_spec, two_vertex_spec
 
 
 @pytest.fixture
@@ -212,14 +216,34 @@ def test_walk_unbounded_horizon_and_bad_start_exit_1(stochastic_path, capsys):
          "vertex 3 outside 1..2"),
         (["laplace", "{g}", "--family", "D", "--from", "0", "--edge", "0", "--scan"],
          "vertex 0 outside 1..2"),
+        (["laplace", "{g}", "--family", "A", "--from", "1", "--to", "2", "--s", "nan"],
+         "s must be finite, got nan"),
+        (["laplace", "{g}", "--family", "A", "--from", "1", "--to", "2", "--s", "nan+1j"],
+         "s must be finite, got (nan+1j)"),
+        (["laplace", "{g}", "--family", "A", "--from", "1", "--to", "2", "--s", "2+infj"],
+         "s must be finite, got (2+infj)"),
+        (["analyze", "{g}", "--max-denominator", "0"], "max_denominator must be >= 1, got 0"),
+        (["analyze", "{g}", "--max-denominator", "-5"], "max_denominator must be >= 1, got -5"),
+        (["analyze", "{g}", "--tolerance", "nan"],
+         "tolerance must be positive and finite, got nan"),
+        (["analyze", "{g}", "--tolerance", "inf"],
+         "tolerance must be positive and finite, got inf"),
+        (["analyze", "{g}", "--tolerance", "0"],
+         "tolerance must be positive and finite, got 0.0"),
+        (["analyze", "{g}", "--max-edges", "0"], "max_edges must be >= 1, got 0"),
     ],
     ids=["walk-n0", "prob-negative-window", "prob-nan-window", "prob-inf-window",
          "kakutani-negative-threshold", "count-target-out-of-range",
-         "laplace-start-out-of-range", "laplace-start-zero"],
+         "laplace-start-out-of-range", "laplace-start-zero", "laplace-nan-s",
+         "laplace-nan-real-part", "laplace-infinite-imaginary-part",
+         "analyze-zero-denominator", "analyze-negative-denominator",
+         "analyze-nan-tolerance", "analyze-inf-tolerance", "analyze-zero-tolerance",
+         "analyze-zero-max-edges"],
 )
 def test_library_validation_exit_1(stochastic_path, capsys, argv, message):
-    # These checks live in the walker, the oracle and the splitting code, not
-    # in the argument parser; they still end in exit 1, not a traceback.
+    # These checks live in the walker, the oracle, the splitting code, the
+    # transform and the cycle-ratio scan, not in the argument parser; they
+    # still end in exit 1, not a traceback.
     assert run([a.format(g=stochastic_path) for a in argv]) == 1
     assert capsys.readouterr().err == f"orbitcount: {message}\n"
 
@@ -324,16 +348,39 @@ def test_laplace_below_critical_line_is_validation_error(two_vertex_path, capsys
     ) == 1
 
 
-def test_python_dash_m_runs_the_cli():
+def _python_dash_m(argv, timeout):
+    """Run ``python -m orbitcount argv`` in a child process on this checkout."""
     src = str(Path(orbitcount.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
-    done = subprocess.run(
-        [sys.executable, "-m", "orbitcount", "--help"],
-        capture_output=True, text=True, env=env, timeout=60,
+    return subprocess.run(
+        [sys.executable, "-m", "orbitcount", *argv],
+        capture_output=True, text=True, env=env, timeout=timeout,
     )
+
+
+def test_python_dash_m_runs_the_cli():
+    done = _python_dash_m(["--help"], timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("usage: orbitcount ")
+
+
+def test_analyze_default_cycle_bound_on_100_vertices(tmp_path):
+    # Without --max-edges every simple cycle of up to 100 edges is admitted;
+    # the scan must still stop at its first witness instead of enumerating
+    # them all.  Edges are at least 0.5 long, so a cycle of 9 or more edges is
+    # at least 4.5 long, and the two shortest cycles are those of the DFS
+    # reference at max_edges=8 when both are shorter than that.
+    spec = ring_spec(1, 100, 0.9)
+    path = tmp_path / "ring100.json"
+    path.write_text(json.dumps(spec))
+    shortest = dfs_cycle_lengths(build_graph(spec), max_edges=8)[:2]
+    assert max(shortest) < 4.5
+    done = _python_dash_m(["analyze", str(path)], timeout=20)
+    assert done.returncode == 0, done.stderr
+    rows = dict(line.split(None, 1) for line in done.stdout.splitlines())
+    assert rows["incommensurability"].strip() == "incommensurable_witness"
+    assert rows["witness_lengths"].split() == [format(v, ".12g") for v in shortest]
 
 
 def test_exit_code_validation(tmp_path, capsys):

@@ -8,9 +8,15 @@ Claims covered:
       all small random graphs
     - cycle enumeration finds each simple cycle once up to rotation and is
       stable under edge reordering
+    - the best-first cycle search gives the recursive DFS's sorted list bit
+      for bit, and the verdict equals the DFS scan's in every field, on
+      seeded rings n = 5..100 with max_edges 1..8, the two-vertex example,
+      integer loops, near-tie lengths and common-multiple graphs
     - the incommensurability verdict finds a witness for the two-vertex example,
       never flags graphs whose lengths share a common multiple, and reports
       inconclusive without two cycles
+    - the scan reads cycles only as far as its first witness, also when that
+      witness pairs the shortest cycle with a later one
 """
 
 import math
@@ -18,7 +24,14 @@ import math
 import numpy as np
 import pytest
 
-from orbitcount import build_graph, cycle_lengths, graph_to_dict, incommensurability_check, strong_connectivity
+from orbitcount import (
+    build_graph,
+    cycle_lengths,
+    graph,
+    graph_to_dict,
+    incommensurability_check,
+    strong_connectivity,
+)
 from orbitcount.errors import (
     IndexOutOfRange,
     MixedProbabilityAnnotation,
@@ -32,7 +45,7 @@ from orbitcount.graph import (
     INCONCLUSIVE,
 )
 
-from conftest import two_vertex_spec
+from conftest import dfs_cycle_lengths, dfs_incommensurability_check, ring_spec, two_vertex_spec
 
 
 # -- construction and validation ----------------------------------------------
@@ -233,7 +246,8 @@ def test_single_cycle_inconclusive():
     assert incommensurability_check(g).status == INCONCLUSIVE
 
 
-def test_common_multiple_lengths_never_witness():
+def _common_multiple_graphs():
+    """Twenty seeded graphs on 1..3 vertices, every length a multiple of 0.37."""
     rng = np.random.default_rng(99)
     base = 0.37
     for _ in range(20):
@@ -246,6 +260,66 @@ def test_common_multiple_lengths_never_witness():
             }
             for _ in range(int(rng.integers(2, 7)))
         ]
-        g = build_graph({"vertices": n, "edges": edges})
+        yield build_graph({"vertices": n, "edges": edges})
+
+
+def test_common_multiple_lengths_never_witness():
+    for g in _common_multiple_graphs():
         verdict = incommensurability_check(g)
         assert verdict.status != INCOMMENSURABLE_WITNESS
+
+
+def _assert_matches_dfs(g, max_edges=None):
+    assert cycle_lengths(g, max_edges) == dfs_cycle_lengths(g, max_edges)
+    assert incommensurability_check(g, max_edges) == dfs_incommensurability_check(g, max_edges)
+
+
+@pytest.mark.parametrize("n", [5, 12, 20, 50, 100])
+@pytest.mark.parametrize("seed", [3, 17])
+def test_search_matches_dfs_on_rings(seed, n):
+    g = build_graph(ring_spec(seed, n, 0.9))
+    for max_edges in range(1, 9):
+        _assert_matches_dfs(g, max_edges)
+
+
+def test_search_matches_dfs_on_small_graphs(two_vertex, two_loops):
+    near_tie = build_graph(
+        {
+            "vertices": 2,
+            "edges": [
+                {"from": 1, "to": 1, "length": 1.0 + 1e-15},
+                {"from": 1, "to": 1, "length": 1.0},
+                {"from": 1, "to": 2, "length": 0.5},
+                {"from": 2, "to": 1, "length": 0.5},
+                {"from": 2, "to": 2, "length": 1.0},
+            ],
+        }
+    )
+    assert cycle_lengths(near_tie) == [1.0, 1.0, 1.0, 1.0 + 1e-15]
+    for g in [two_vertex, two_loops, near_tie, *_common_multiple_graphs()]:
+        for max_edges in [None, 1, 2, 3]:
+            _assert_matches_dfs(g, max_edges)
+
+
+def test_witness_after_the_second_cycle_is_read_lazily(monkeypatch):
+    # Lengths 1, 2, 3 are commensurable; pi is the first witness, at pair
+    # (0, 3).  The cycles after it must not be drawn from the search.
+    lengths = [5.0, math.pi, 2.0, 6.0, 1.0, 3.0, 7.0]
+    g = build_graph(
+        {"vertices": 1, "edges": [{"from": 1, "to": 1, "length": x} for x in lengths]}
+    )
+    drawn = []
+
+    def counted(*args):
+        for length in search(*args):
+            drawn.append(length)
+            yield length
+
+    search = graph._cycles_shortest_first
+    monkeypatch.setattr(graph, "_cycles_shortest_first", counted)
+    verdict = incommensurability_check(g)
+    assert verdict == dfs_incommensurability_check(g)
+    assert verdict.status == INCOMMENSURABLE_WITNESS
+    assert verdict.witness == (1.0, math.pi)
+    assert drawn == [1.0, 2.0, 3.0, math.pi]
+
