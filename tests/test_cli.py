@@ -8,8 +8,8 @@ Claims covered:
     - kakutani and subst cover the partitions, discrepancy table and rule
       verification; laplace covers values and the residue scan
     - outputs are byte-for-byte deterministic given the same invocation;
-      analyze, count, prob, walk and laplace outputs are frozen as golden
-      bytes
+      analyze, count, prob, walk, laplace and kakutani outputs are frozen as
+      golden bytes (long kakutani dumps as a line count and sha256)
     - exit codes: 1 validation (also from checks inside the library), 2
       numerical failure, 3 budget overflow; malformed graph and rule files
       (fractional or boolean vertex counts, endpoints, types and dimensions
@@ -24,6 +24,7 @@ Claims covered:
     - a parsed-then-serialized graph reparses identically
 """
 
+import hashlib
 import json
 import math
 import os
@@ -1313,6 +1314,165 @@ def test_laplace_golden_bytes(graph, argv, expected, tmp_path, capsys):
     path.write_text(json.dumps(LAPLACE_GRAPHS[graph]))
     assert run(["laplace", str(path), *argv]) == 0
     assert capsys.readouterr().out == expected
+
+
+# -- golden bytes for kakutani --------------------------------------------------------
+
+N = "0,1,20,200,2000"
+
+# Prototile 1 becomes one prototile 2 of the same size, which halves into two
+# prototiles 1: each scale-1 child ties its parent on length and left end.
+SCALE_ONE_RULE = {
+    "dimension": 1,
+    "prototiles": [
+        {"children": [{"type": 2, "scale": 1}]},
+        {"children": [{"type": 1, "scale": 0.5}, {"type": 1, "scale": 0.5}]},
+    ],
+}
+
+# Exact stdout of kakutani, frozen while the longest-interval partition came
+# from a heap of interval objects and the threshold partition from a stack;
+# any change to a byte is a regression.
+KAKUTANI_GOLDEN = [
+    (
+        ['--alpha', '1/2', '--n', N],
+        (
+            'n,intervals,discrepancy\n'
+            '0,1,1\n'
+            '1,2,0.5\n'
+            '20,21,0.16369047619\n'
+            '200,201,0.156055659204\n'
+            '2000,2001,0.0224101816279\n'
+        ),
+    ),
+    (
+        ['--alpha', '1/3', '--n', N],
+        (
+            'n,intervals,discrepancy\n'
+            '0,1,1\n'
+            '1,2,0.5\n'
+            '20,21,0.0658436213992\n'
+            '200,201,0.0331333729159\n'
+            '2000,2001,0.00594788889827\n'
+        ),
+    ),
+    (
+        ['--alpha', '0.3', '--n', N],
+        (
+            'n,intervals,discrepancy\n'
+            '0,1,1\n'
+            '1,2,0.5\n'
+            '20,21,0.0728271904762\n'
+            '200,201,0.0149923542184\n'
+            '2000,2001,0.0103222332813\n'
+        ),
+    ),
+    (
+        ['--alpha', '1/3', '--n', '0,20,2000', '--format', 'pretty'],
+        (
+            'n     intervals  discrepancy     \n'
+            '0     1          1               \n'
+            '20    21         0.0658436213992 \n'
+            '2000  2001       0.00594788889827\n'
+        ),
+    ),
+    (
+        ['--alpha', '1/3', '--partition', '3', '--format', 'jsonl'],
+        (
+            '{"left": 0.0, "length": 0.333333333333, "type": 1}\n'
+            '{"left": 0.333333333333, "length": 0.222222222222, "type": 1}\n'
+            '{"left": 0.555555555556, "length": 0.148148148148, "type": 1}\n'
+            '{"left": 0.703703703704, "length": 0.296296296296, "type": 1}\n'
+        ),
+    ),
+    (
+        ['--alpha', '0.3', '--threshold', '1.5'],
+        (
+            'left,length,type\n'
+            '0,0.09,1\n'
+            '0.09,0.21,1\n'
+            '0.3,0.21,1\n'
+            '0.51,0.147,1\n'
+            '0.657,0.1029,1\n'
+            '0.7599,0.07203,1\n'
+            '0.83193,0.16807,1\n'
+        ),
+    ),
+    (
+        ['--rule', '{rule}', '--n', '0,1,2,3,20,200'],
+        (
+            'n,intervals,discrepancy\n'
+            '0,1,1\n'
+            '1,1,1\n'
+            '2,2,0.5\n'
+            '3,2,0.5\n'
+            '20,11,0.170454545455\n'
+            '200,101,0.154548267327\n'
+        ),
+    ),
+    (
+        ['--rule', '{rule}', '--partition', '5', '--format', 'pretty'],
+        (
+            'left  length  type\n'
+            '0     0.25    1   \n'
+            '0.25  0.25    1   \n'
+            '0.5   0.5     2   \n'
+        ),
+    ),
+    (
+        ['--rule', '{rule}', '--threshold', '2', '--format', 'jsonl'],
+        (
+            '{"left": 0.0, "length": 0.125, "type": 1}\n'
+            '{"left": 0.125, "length": 0.125, "type": 1}\n'
+            '{"left": 0.25, "length": 0.125, "type": 1}\n'
+            '{"left": 0.375, "length": 0.125, "type": 1}\n'
+            '{"left": 0.5, "length": 0.125, "type": 1}\n'
+            '{"left": 0.625, "length": 0.125, "type": 1}\n'
+            '{"left": 0.75, "length": 0.125, "type": 1}\n'
+            '{"left": 0.875, "length": 0.125, "type": 1}\n'
+        ),
+    ),
+]
+# Dumps too long to spell out: their line count and the sha256 of the stdout.
+KAKUTANI_DIGESTS = [
+    (['--alpha', '0.3', '--partition', '777'], 779,
+     '1e6088e03cfd8d08a529a803e0af231785c305b6275d3ea733319b71412a02bc'),
+    (['--alpha', '1/2', '--partition', '777'], 779,
+     '08cf3ec5f937479db20132145ecad9390a790ef935a5b0aaf30a59c2da20abf2'),
+    (['--alpha', '0.3', '--threshold', '9'], 13197,
+     '8a223d7368fca73531078b77045b9a689f666567d93652bfb3abfe12a645d549'),
+    (['--alpha', '1/3', '--threshold', '9'], 12593,
+     '5ed0daac9e29517a7fa9dcb82a2797018bc5ae26fc6ced4877c7d6a6fefac6a9'),
+    (['--alpha', '0.2137', '--threshold', '9.5'], 25209,
+     '0e270906bc2889fc5c198b33827d75a4df965ae0501e3aac726c399c0d7b8b17'),
+    (['--rule', '{rule}', '--partition', '777'], 390,
+     'bdbdab331764c7f94d1a0cb8507e98ffb4dbe3a8671bad13958646948d319c4f'),
+    (['--rule', '{rule}', '--threshold', '9'], 8193,
+     '3cc9b25ca6c4eab5591134246a4be4b5d7e90919b4dc1a3fa1a09dde6dacd6e9'),
+]
+
+
+def _kakutani_stdout(argv, tmp_path, capsys):
+    path = tmp_path / "rule.json"
+    path.write_text(json.dumps(SCALE_ONE_RULE))
+    assert run(["kakutani", *(a.format(rule=path) for a in argv)]) == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv, expected", KAKUTANI_GOLDEN, ids=[" ".join(a) for a, _ in KAKUTANI_GOLDEN]
+)
+def test_kakutani_golden_bytes(argv, expected, tmp_path, capsys):
+    assert _kakutani_stdout(argv, tmp_path, capsys) == expected
+
+
+@pytest.mark.parametrize(
+    "argv, lines, digest", KAKUTANI_DIGESTS, ids=[" ".join(a) for a, _, _ in KAKUTANI_DIGESTS]
+)
+def test_kakutani_golden_digests(argv, lines, digest, tmp_path, capsys):
+    out = _kakutani_stdout(argv, tmp_path, capsys)
+    assert out.count("\n") == lines
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize(
