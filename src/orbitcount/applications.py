@@ -11,8 +11,6 @@ counts of the associated graph, which is the bridge the tests exercise.
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -95,66 +93,79 @@ class SplitRule:
         return cls(dimension=dimension, prototiles=tuple(prototiles))
 
 
-@dataclass(frozen=True)
-class Interval:
-    left: float
-    length: float
-    type: int
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Partition:
-    """Ordered tiling of [0, 1] after ``generation`` splits."""
+    """Tiling of [0, 1] after ``generation`` splits, as arrays sorted by left end."""
 
-    intervals: tuple[Interval, ...]
+    left: np.ndarray
+    length: np.ndarray
+    type: np.ndarray
     generation: int
 
     @property
     def interval_count(self) -> int:
-        return len(self.intervals)
+        return len(self.left)
 
     def lengths(self) -> np.ndarray:
-        return np.array([iv.length for iv in self.intervals])
+        return self.length
 
     def right_endpoints(self) -> np.ndarray:
-        return np.array([iv.left + iv.length for iv in self.intervals])
+        return self.left + self.length
 
 
-def _require_interval_rule(rule: SplitRule):
+def _split_tree(rule: SplitRule, cutoff: float):
+    """(left, length, type, parent index) of the tree splitting nodes above ``cutoff``."""
     if rule.dimension != 1:
         raise VolumeNotConserved(
             f"interval splitting needs a 1-dimensional rule, got d={rule.dimension}"
         )
+    step = {t: c for t, kids in enumerate(rule.prototiles, start=1) for c, s in kids if s == 1.0}
+    for _ in rule.prototiles:
+        step = {t: c for t, c in step.items() if c in step}
+    if step:
+        raise ValidationError("scale-1 children form a cycle, so splitting never ends")
+    level, levels, start = (np.zeros(1), np.ones(1), np.ones(1, int), np.zeros(1, int)), [], 0
+    while len(level[0]):
+        levels.append(level)
+        split = np.flatnonzero(level[1] > cutoff)
+        columns = []
+        for t, children in enumerate(rule.prototiles, start=1):
+            parent = split[level[2][split] == t]
+            at, size_of = level[0][parent], level[1][parent]
+            for child_type, scale in children:
+                size = size_of * scale
+                columns.append((at, size, np.full(len(parent), child_type), start + parent))
+                at = at + size  # one sibling at a time, so every float equals a loop's
+        level = tuple(np.concatenate(c) for c in zip(*columns))
+        start += len(levels[-1][0])
+    return [np.concatenate(c) for c in zip(*levels)]
 
 
-def _children(rule: SplitRule, interval: Interval) -> list[Interval]:
-    out = []
-    left = interval.left
-    for child_type, scale in rule.prototiles[interval.type - 1]:
-        size = interval.length * scale
-        out.append(Interval(left=left, length=size, type=child_type))
-        left += size
-    return out
+def _partition(tree, split) -> Partition:
+    """The children of the nodes marked in ``split`` that are not split themselves."""
+    leaf = np.flatnonzero(~split & np.append(True, split[tree[3][1:]]))
+    leaf = leaf[np.argsort(tree[0][leaf])]  # disjoint leaves: distinct left ends
+    return Partition(*(c[leaf] for c in tree[:3]), generation=int(np.count_nonzero(split)))
 
 
 def kakutani_partition(rule: SplitRule, n: int) -> Partition:
     """Partition of [0, 1] after n rounds of splitting the longest interval.
 
-    Ties on the maximal length break to the leftmost interval, which keeps
-    the procedure deterministic for commensurable rules.  A heap keyed on
-    (-length, left) finds that interval, so the partition costs O(n log n).
+    Ties break leftmost, so commensurable rules stay deterministic.  No child
+    is longer than its parent and a scale-1 child ties it one level down, so
+    the n first tree nodes under (-length, left, depth) split: a stable sort
+    picks them from a tree grown, level by level, to a cutoff n nodes exceed.
     """
-    _require_interval_rule(rule)
     if n < 0:
         raise ValidationError("generation must be >= 0")
-    seq = itertools.count()  # never reached while left endpoints differ
-    heap = [(-1.0, 0.0, next(seq), Interval(left=0.0, length=1.0, type=1))]
-    for _ in range(n):
-        best = heapq.heappop(heap)[-1]
-        for child in _children(rule, best):
-            heapq.heappush(heap, (-child.length, child.left, next(seq), child))
-    intervals = sorted((item[-1] for item in heap), key=lambda iv: iv.left)
-    return Partition(intervals=tuple(intervals), generation=n)
+    for cutoff in 0.5 ** np.arange(64) / (n + 1):  # 1/(n + 1) suffices for binary rules
+        tree = left, length, _, _ = _split_tree(rule, cutoff)
+        inner = np.flatnonzero(length > cutoff)
+        if len(inner) >= n:
+            break
+    split = np.zeros(len(left), dtype=bool)
+    split[inner[np.lexsort((left[inner], -length[inner]))[:n]]] = True
+    return _partition(tree, split)
 
 
 def kakutani_threshold_partition(rule: SplitRule, x: float) -> Partition:
@@ -164,22 +175,11 @@ def kakutani_threshold_partition(rule: SplitRule, x: float) -> Partition:
     total number of length-x paths onto edges of the associated graph
     (exactly, away from the countable set of boundary x values).
     """
-    _require_interval_rule(rule)
-    if x < 0.0:
-        raise ValidationError("threshold exponent must be >= 0")
+    if not (math.isfinite(x) and x >= 0.0):
+        raise ValidationError("threshold exponent must be finite and >= 0")
     cutoff = math.exp(-x)
-    out = []
-    splits = 0
-    stack = [Interval(left=0.0, length=1.0, type=1)]
-    while stack:
-        interval = stack.pop()
-        if interval.length > cutoff:
-            splits += 1
-            stack.extend(_children(rule, interval))
-        else:
-            out.append(interval)
-    out.sort(key=lambda iv: iv.left)
-    return Partition(intervals=tuple(out), generation=splits)
+    tree = _split_tree(rule, cutoff)
+    return _partition(tree, tree[1] > cutoff)
 
 
 def discrepancy(partition: Partition) -> float:

@@ -251,12 +251,12 @@ def _cmd_kakutani(fmt: str, args, stream) -> int:
     rule = _kakutani_rule(args)
     if args.partition is not None:
         part = apps.kakutani_partition(rule, args.partition)
-        rows = [(iv.left, iv.length, iv.type) for iv in part.intervals]
+        rows = list(zip(part.left.tolist(), part.length.tolist(), part.type.tolist()))
         _emit(fmt, ["left", "length", "type"], rows, stream)
         return 0
     if args.threshold is not None:
         part = apps.kakutani_threshold_partition(rule, args.threshold)
-        rows = [(iv.left, iv.length, iv.type) for iv in part.intervals]
+        rows = list(zip(part.left.tolist(), part.length.tolist(), part.type.tolist()))
         _emit(fmt, ["left", "length", "type"], rows, stream)
         return 0
     generations = _parse_grid(args.generations, "n")

@@ -3,13 +3,15 @@
 Fixtures: the canonical two-vertex example and small loop graphs.  References
 kept as oracles for the library's faster routes: the cofactor adjugate, the
 per-vertex walk loop, the best-first heap over length-class rows with the
-per-class grid sweep of every count/prob family, and the recursive cycle
-DFS with the incommensurability scan over its full sorted list.
+per-class grid sweep of every count/prob family, the recursive cycle DFS
+with the incommensurability scan over its full sorted list, and the heap and
+stack that split intervals one at a time.
 """
 
 import bisect
 import cmath
 import heapq
+import itertools
 import math
 import numbers
 import random
@@ -399,6 +401,51 @@ def dfs_incommensurability_check(g, max_edges=None, max_denominator=10**6, toler
         status=graph.COMMENSURABLE_WITHIN_TOLERANCE,
         rational_approx=first_approx,
     )
+
+
+def _split_children(rule, left, length, prototile):
+    out = []
+    for child_type, scale in rule.prototiles[prototile - 1]:
+        size = length * scale
+        out.append((left, size, child_type))
+        left += size
+    return out
+
+
+def heap_kakutani_partition(rule, n):
+    """(left, length, type) rows after n splits of the longest interval.
+
+    The literal procedure, kept as the oracle for the library's selection
+    over the split tree: a heap keyed on (-length, left, push order) pops the
+    interval to split, and its children replace it.  Rows are sorted by left.
+    """
+    seq = itertools.count()
+    heap = [(-1.0, 0.0, next(seq), 1)]
+    for _ in range(n):
+        neg, left, _, prototile = heapq.heappop(heap)
+        for child in _split_children(rule, left, -neg, prototile):
+            heapq.heappush(heap, (-child[1], child[0], next(seq), child[2]))
+    return sorted((left, -neg, prototile) for neg, left, _, prototile in heap)
+
+
+def stack_threshold_partition(rule, x):
+    """(left, length, type) rows after splitting every interval above e^(-x).
+
+    The literal procedure, kept as the oracle for the library's level-by-level
+    expansion: a stack of intervals, each split or kept.  Returns the rows
+    sorted by left and the number of splits.
+    """
+    cutoff = math.exp(-x)
+    out, splits, stack = [], 0, [(0.0, 1.0, 1)]
+    while stack:
+        left, length, prototile = stack.pop()
+        if length > cutoff:
+            splits += 1
+            stack.extend(_split_children(rule, left, length, prototile))
+        else:
+            out.append((left, length, prototile))
+    out.sort()
+    return out, splits
 
 
 @pytest.fixture

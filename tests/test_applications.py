@@ -3,8 +3,15 @@
 Claims covered:
     - the 1/3 splitting sequence reproduces the first partitions by hand,
       and every partition tiles [0, 1] to within 1e-12
-    - the heap-driven splitting gives exactly the partitions of a literal
+    - the longest-interval partitions equal those of a literal
       longest-leftmost scan, with every split tied (1/2) and untied (1/3)
+    - both partitions equal the one-interval-at-a-time heap and stack
+      references bit for bit (left ends, lengths, types and split counts)
+      for 1/2, 1/3, 0.21 and 0.3 splits, a three-child rule, a two-prototile
+      rule and a rule with a scale-1 child, at n = 0..500, 2000 and 20000
+      and at thresholds 0..9.5
+    - a rule whose scale-1 children cycle is refused by both forms, and a
+      threshold that is NaN or infinite is refused
     - threshold partitions match the on-edge counts of the associated graph
       exactly at random thresholds, and measure is conserved at every x
     - star discrepancy matches closed forms (single point, uniform grid) and
@@ -22,7 +29,6 @@ import pytest
 
 from orbitcount import build_graph
 from orbitcount.applications import (
-    Interval,
     Partition,
     SplitRule,
     discrepancy,
@@ -32,8 +38,10 @@ from orbitcount.applications import (
     substitution_graph,
     verify_substitution_properties,
 )
-from orbitcount.errors import PropertyViolated, VolumeNotConserved
+from orbitcount.errors import PropertyViolated, ValidationError, VolumeNotConserved
 from orbitcount.oracle import count_edge_hits_exact, count_paths_exact
+
+from conftest import heap_kakutani_partition, stack_threshold_partition
 
 
 @pytest.fixture
@@ -47,9 +55,9 @@ def third_rule():
 def test_first_partitions_by_hand(third_rule):
     assert kakutani_partition(third_rule, 0).interval_count == 1
     p1 = kakutani_partition(third_rule, 1)
-    assert sorted(iv.length for iv in p1.intervals) == pytest.approx([1 / 3, 2 / 3])
+    assert sorted(p1.length) == pytest.approx([1 / 3, 2 / 3])
     p2 = kakutani_partition(third_rule, 2)
-    assert sorted(iv.length for iv in p2.intervals) == pytest.approx(
+    assert sorted(p2.length) == pytest.approx(
         [2 / 9, 1 / 3, 4 / 9]
     )
 
@@ -59,29 +67,32 @@ def test_partition_lengths_always_sum_to_one(third_rule):
         part = kakutani_partition(third_rule, n)
         assert part.interval_count == n + 1
         assert float(part.lengths().sum()) == pytest.approx(1.0, abs=1e-12)
-        lefts = [iv.left for iv in part.intervals]
-        assert all(a < b for a, b in zip(lefts, lefts[1:]))
+        assert np.all(np.diff(part.left) > 0)
 
 
 def test_ties_break_leftmost():
     rule = SplitRule.from_ratios([0.5, 0.5])
     p2 = kakutani_partition(rule, 2)
-    assert [iv.length for iv in p2.intervals] == pytest.approx([0.25, 0.25, 0.5])
+    assert p2.length.tolist() == pytest.approx([0.25, 0.25, 0.5])
 
 
 def _quadratic_partitions(rule, n):
     """Partitions 0..n by the literal rule: scan for the longest, leftmost first."""
-    intervals = [Interval(left=0.0, length=1.0, type=1)]
-    yield tuple(intervals)
+    intervals = [(0.0, 1.0, 1)]
+    yield list(intervals)
     for _ in range(n):
-        best = max(range(len(intervals)), key=lambda k: (intervals[k].length, -k))
-        parent = intervals[best]
-        children, left = [], parent.left
-        for child_type, scale in rule.prototiles[parent.type - 1]:
-            children.append(Interval(left=left, length=parent.length * scale, type=child_type))
-            left += parent.length * scale
+        best = max(range(len(intervals)), key=lambda k: (intervals[k][1], -k))
+        left, length, prototile = intervals[best]
+        children = []
+        for child_type, scale in rule.prototiles[prototile - 1]:
+            children.append((left, length * scale, child_type))
+            left += length * scale
         intervals[best : best + 1] = children
-        yield tuple(intervals)
+        yield list(intervals)
+
+
+def _rows(part):
+    return list(zip(part.left.tolist(), part.length.tolist(), part.type.tolist()))
 
 
 @pytest.mark.parametrize("alpha", [1 / 2, 1 / 3])
@@ -90,7 +101,58 @@ def test_partition_matches_quadratic_scan(alpha):
     rule = SplitRule.from_ratios([alpha, 1.0 - alpha])
     for n, literal in enumerate(_quadratic_partitions(rule, 500)):
         if n % 7 == 0 or n == 500:
-            assert kakutani_partition(rule, n).intervals == literal
+            assert _rows(kakutani_partition(rule, n)) == literal
+
+
+# -- against the one-interval-at-a-time references ------------------------------------
+
+REFERENCE_RULES = {
+    "1/2": SplitRule.from_ratios([1 / 2, 1 / 2]),
+    "1/3": SplitRule.from_ratios([1 / 3, 2 / 3]),
+    "0.21": SplitRule.from_ratios([0.21, 0.79]),
+    "0.3": SplitRule.from_ratios([0.3, 0.7]),
+    "three-child": SplitRule.from_ratios([0.2, 0.5, 0.3]),
+    "two-prototile": SplitRule(1, (((2, 0.4), (1, 0.6)), ((1, 0.25), (2, 0.75)))),
+    # Prototile 1 becomes one prototile 2 of the same size, which halves into
+    # two prototiles 1: each scale-1 child ties its parent on length and left.
+    "scale-1-chain": SplitRule(1, (((2, 1.0),), ((1, 0.5), (1, 0.5)))),
+}
+
+
+def assert_rows_equal(part, rows):
+    left, length, types = (np.array(column) for column in zip(*rows))
+    assert np.array_equal(part.left, left)
+    assert np.array_equal(part.length, length)
+    assert np.array_equal(part.type, types)
+
+
+@pytest.mark.parametrize("name", list(REFERENCE_RULES))
+def test_partition_equals_heap_reference(name):
+    rule = REFERENCE_RULES[name]
+    for n in [*range(501), 2000, 20000]:
+        part = kakutani_partition(rule, n)
+        assert_rows_equal(part, heap_kakutani_partition(rule, n))
+        assert part.generation == n
+
+
+@pytest.mark.parametrize("name", list(REFERENCE_RULES))
+def test_threshold_partition_equals_stack_reference(name):
+    rule = REFERENCE_RULES[name]
+    for x in np.arange(0.0, 9.75, 0.25):
+        part = kakutani_threshold_partition(rule, float(x))
+        rows, splits = stack_threshold_partition(rule, float(x))
+        assert_rows_equal(part, rows)
+        assert part.generation == splits
+
+
+def test_scale_one_cycle_refused():
+    # Prototiles 1 and 2 turn into each other at the same size: splitting
+    # never shrinks an interval, so neither form could finish.
+    rule = SplitRule(1, (((2, 1.0),), ((1, 1.0),)))
+    with pytest.raises(ValidationError, match="scale-1 children form a cycle"):
+        kakutani_threshold_partition(rule, 1.0)
+    with pytest.raises(ValidationError, match="scale-1 children form a cycle"):
+        kakutani_partition(rule, 3)
 
 
 # -- threshold form ------------------------------------------------------------------
@@ -103,7 +165,7 @@ def test_threshold_at_zero_is_trivial(third_rule):
 
 def test_threshold_log2_by_hand(third_rule):
     part = kakutani_threshold_partition(third_rule, math.log(2))
-    assert sorted(iv.length for iv in part.intervals) == pytest.approx(
+    assert sorted(part.length) == pytest.approx(
         [2 / 9, 1 / 3, 4 / 9]
     )
 
@@ -136,16 +198,14 @@ def test_threshold_growth_rate_near_exponent(third_rule):
 
 
 def test_discrepancy_single_point():
-    trivial = Partition(intervals=(Interval(0.0, 1.0, 1),), generation=0)
+    trivial = Partition(np.array([0.0]), np.array([1.0]), np.array([1]), generation=0)
     assert discrepancy(trivial) == 1.0
 
 
 def test_discrepancy_uniform_grid():
     k = 8
-    intervals = tuple(Interval(i / k, 1 / k, 1) for i in range(k))
-    assert discrepancy(Partition(intervals=intervals, generation=0)) == pytest.approx(
-        1 / k
-    )
+    grid = Partition(np.arange(k) / k, np.full(k, 1 / k), np.ones(k, int), generation=0)
+    assert discrepancy(grid) == pytest.approx(1 / k)
 
 
 def test_discrepancy_decreases_along_sequence(third_rule):

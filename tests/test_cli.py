@@ -210,7 +210,13 @@ def test_walk_unbounded_horizon_and_bad_start_exit_1(stochastic_path, capsys):
           "--window", "inf"],
          "window must be finite and >= 0"),
         (["kakutani", "--alpha", "1/3", "--threshold", "-1"],
-         "threshold exponent must be >= 0"),
+         "threshold exponent must be finite and >= 0"),
+        (["kakutani", "--alpha", "0.3", "--threshold", "nan"],
+         "threshold exponent must be finite and >= 0"),
+        (["kakutani", "--alpha", "0.3", "--threshold", "inf"],
+         "threshold exponent must be finite and >= 0"),
+        (["kakutani", "--rule", "{cycle}", "--threshold", "1"],
+         "scale-1 children form a cycle, so splitting never ends"),
         (["count", "{g}", "--family", "A", "--from", "1", "--to", "3", "--x", "4"],
          "vertex 3 outside 1..2"),
         (["laplace", "{g}", "--family", "A", "--from", "3", "--to", "1", "--s", "2"],
@@ -234,18 +240,24 @@ def test_walk_unbounded_horizon_and_bad_start_exit_1(stochastic_path, capsys):
         (["analyze", "{g}", "--max-edges", "0"], "max_edges must be >= 1, got 0"),
     ],
     ids=["walk-n0", "prob-negative-window", "prob-nan-window", "prob-inf-window",
-         "kakutani-negative-threshold", "count-target-out-of-range",
+         "kakutani-negative-threshold", "kakutani-nan-threshold", "kakutani-inf-threshold",
+         "kakutani-scale-one-cycle", "count-target-out-of-range",
          "laplace-start-out-of-range", "laplace-start-zero", "laplace-nan-s",
          "laplace-nan-real-part", "laplace-infinite-imaginary-part",
          "analyze-zero-denominator", "analyze-negative-denominator",
          "analyze-nan-tolerance", "analyze-inf-tolerance", "analyze-zero-tolerance",
          "analyze-zero-max-edges"],
 )
-def test_library_validation_exit_1(stochastic_path, capsys, argv, message):
+def test_library_validation_exit_1(stochastic_path, tmp_path, capsys, argv, message):
     # These checks live in the walker, the oracle, the splitting code, the
     # transform and the cycle-ratio scan, not in the argument parser; they
-    # still end in exit 1, not a traceback.
-    assert run([a.format(g=stochastic_path) for a in argv]) == 1
+    # still end in exit 1, not a traceback.  Before the threshold checks, a
+    # NaN exponent printed the unsplit interval and an infinite one, or a
+    # rule whose scale-1 child is itself, never returned.
+    cycle = tmp_path / "cycle.json"
+    cycle.write_text(json.dumps(
+        {"dimension": 1, "prototiles": [{"children": [{"type": 1, "scale": 1}]}]}))
+    assert run([a.format(g=stochastic_path, cycle=cycle) for a in argv]) == 1
     assert capsys.readouterr().err == f"orbitcount: {message}\n"
 
 
