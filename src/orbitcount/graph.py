@@ -366,15 +366,25 @@ def _best_rational(ratio: float, max_denominator: int):
 
 
 def _ascending_pairs(lengths):
-    """Pairs ``(a_i, a_j)``, i < j, of an iterator in (i outer, j inner) order.
+    """The first two lengths, then pairs ``(a_i, a_j)``, i < j, of distinct values.
 
+    ``lengths`` ascends, so equal values are adjacent and only the first of
+    each is kept: a repeated value repeats the ratios of earlier pairs, so the
+    first witness in (i outer, j inner) order is the same.  The first pair is
+    the raw one, even a tie, since the verdict reports its approximation.
     The pairs ``(a_0, a_j)`` come first, so the iterator is advanced one
     element per pair until it runs out; only then are the later rows scanned.
     """
-    seen = list(itertools.islice(lengths, 1))
+    seen = list(itertools.islice(lengths, 2))
+    if len(seen) < 2:
+        return
+    yield seen[0], seen[1]
+    if seen[1] == seen[0]:
+        seen.pop()
     for b in lengths:
-        seen.append(b)
-        yield seen[0], b
+        if b != seen[-1]:
+            seen.append(b)
+            yield seen[0], b
     for i in range(1, len(seen)):
         for j in range(i + 1, len(seen)):
             yield seen[i], seen[j]
@@ -389,12 +399,13 @@ def incommensurability_check(
     """Scan cycle-length pairs for a ratio with no small rational approximation.
 
     Pairs (a, b) of the ascending cycle lengths are scanned with a the shorter,
-    shortest a first and then shortest b; cycles are drawn from the
-    best-first search only as the scan reaches them, so it stops at the first
-    witness: a pair whose min over convergents p/q, q <= max_denominator, of
-    |a*q - b*p| exceeds ``tolerance``.  Reports commensurable-within-tolerance
-    (with the first pair's approximation) when every pair admits one, which
-    reads every cycle, and inconclusive when fewer than two cycles exist.
+    shortest a first and then shortest b, each pair of values once; cycles
+    are drawn from the best-first search only as the scan reaches them, so it
+    stops at the first witness: a pair whose min over convergents p/q,
+    q <= max_denominator, of |a*q - b*p| exceeds ``tolerance``.  Reports
+    commensurable-within-tolerance (with the first pair's approximation) when
+    every pair admits one, which reads every cycle, and inconclusive when
+    fewer than two cycles exist.
     """
     if not (tolerance > 0 and math.isfinite(tolerance)):
         raise IndexOutOfRange(f"tolerance must be positive and finite, got {tolerance!r}")

@@ -17,6 +17,10 @@ Claims covered:
       inconclusive without two cycles
     - the scan reads cycles only as far as its first witness, also when that
       witness pairs the shortest cycle with a later one
+    - the scan tests each pair of distinct lengths once: with tied lengths
+      (the first two cycles equal) the verdict still equals the DFS scan's
+      in every field, and a commensurable 16-vertex graph with 2,576 cycles
+      of 43 lengths makes one rational approximation per pair of lengths
 """
 
 import math
@@ -299,6 +303,62 @@ def test_search_matches_dfs_on_small_graphs(two_vertex, two_loops):
     for g in [two_vertex, two_loops, near_tie, *_common_multiple_graphs()]:
         for max_edges in [None, 1, 2, 3]:
             _assert_matches_dfs(g, max_edges)
+
+
+def _loops(*lengths):
+    return build_graph(
+        {"vertices": 1, "edges": [{"from": 1, "to": 1, "length": x} for x in lengths]}
+    )
+
+
+def _half_rounded_ring(n):
+    """``ring_spec(1, n, 0.9)`` with every length rounded to a multiple of 0.5."""
+    spec = ring_spec(1, n, 0.9)
+    for edge in spec["edges"]:
+        edge["length"] = round(edge["length"] * 2) / 2
+    return build_graph(spec)
+
+
+def test_scan_with_tied_lengths_matches_dfs():
+    # The first two cycles tie in each loop graph; the verdict still reports
+    # the approximation of that first raw pair, and the same first witness.
+    tied_first = [
+        _loops(1.0, 1.0),
+        _loops(0.5, 0.5, 0.5),
+        _loops(1.0, 1.0, 2.0, math.pi),
+        _loops(3.0, 1.0, 2.0, 2.0, 1.0),
+        _loops(2.0, 1.0, 1.0, math.sqrt(2), math.sqrt(2)),
+    ]
+    for g in tied_first:
+        lengths = dfs_cycle_lengths(g)
+        assert lengths[0] == lengths[1]
+        assert incommensurability_check(g) == dfs_incommensurability_check(g)
+    g = _half_rounded_ring(12)  # 453 cycles, every length a multiple of 0.5
+    for max_edges in [None, 3, 6]:
+        assert incommensurability_check(g, max_edges) == dfs_incommensurability_check(g, max_edges)
+
+
+def test_commensurable_scan_reads_each_pair_of_values_once(monkeypatch):
+    # 2,576 cycles with 43 distinct lengths: the scan over every pair of
+    # cycles made ~3.3 million rational approximations and took seconds.
+    g = _half_rounded_ring(16)
+    lengths = dfs_cycle_lengths(g)
+    distinct = len(set(lengths))
+    assert (len(lengths), distinct) == (2576, 43)
+    calls = []
+
+    def counted(ratio, max_denominator):
+        calls.append(ratio)
+        return best_rational(ratio, max_denominator)
+
+    best_rational = graph._best_rational
+    monkeypatch.setattr(graph, "_best_rational", counted)
+    verdict = incommensurability_check(g)
+    assert verdict.status == COMMENSURABLE_WITHIN_TOLERANCE
+    p, q = best_rational(lengths[0] / lengths[1], 10**6)
+    assert verdict.rational_approx == (p, q, abs(lengths[0] * q - lengths[1] * p))
+    tied_first_pair = lengths[0] == lengths[1]
+    assert len(calls) == distinct * (distinct - 1) // 2 + tied_first_pair
 
 
 def test_witness_after_the_second_cycle_is_read_lazily(monkeypatch):
