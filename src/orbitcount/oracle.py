@@ -1,18 +1,12 @@
 """Exact brute-force counting and probability masses, the library's ground truth.
 
-Two expansion engines share the same shortest-first discipline:
-
-- :func:`enumerate_paths` streams every individual finite path as a
-  :class:`PathAtom`, exactly once, in non-decreasing length order.  Its cost
-  is proportional to the number of paths, which grows exponentially in the
-  horizon.
-- The counting and probability operations below instead expand *length
-  classes*: all paths sharing a terminal vertex and (up to float noise) the
-  same exact length are carried as one class with an integer path count and
-  an aggregated probability mass.  Future extensions of a path depend only
-  on its terminal vertex, so the aggregation is lossless, and horizons far
-  beyond per-atom reach stay exact (counts never wrap: they turn into
-  arbitrary-precision integers where int64 could overflow).
+The counting and probability operations expand *length classes*, shortest
+first: all paths sharing a terminal vertex and (up to float noise) the same
+exact length are carried as one class with an integer path count and an
+aggregated probability mass.  Future extensions of a path depend only on its
+terminal vertex, so the aggregation is lossless, and horizons far beyond the
+reach of path-by-path enumeration stay exact (counts never wrap: they turn
+into arbitrary-precision integers where int64 could overflow).
 
 Classes are expanded in length bands.  Extending a path adds at least
 ``m``, the shortest edge length, so the rows (unmerged extensions) with
@@ -51,7 +45,6 @@ import numbers
 from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import count as _counter
 
 import numpy as np
 
@@ -79,58 +72,18 @@ _FOLD_ROWS = 2048
 _INT64_LIMIT = 2**63
 
 
-@dataclass(frozen=True)
-class PathAtom:
-    """One finite path: where it ends, its exact length and weight."""
-
-    terminal_vertex: int
-    length: float
-    probability: float
-    edge_count: int
-
-
 @dataclass
 class EnumerationBudget:
     """Horizon and safety cap for one enumeration.
 
     ``overflow`` is set (and :class:`BudgetOverflow` raised) when the cap is
     reached, so truncated results are flagged rather than silently wrong.
-    The cap counts emitted atoms for :func:`enumerate_paths` and emitted
-    length classes for the aggregated operations.
+    The cap counts emitted length classes.
     """
 
     max_length: float
     max_paths: int = DEFAULT_MAX_PATHS
     overflow: bool = False
-
-
-def enumerate_paths(g: WeightedDigraph, start: int, budget: EnumerationBudget):
-    """Yield every path from ``start`` of length <= budget.max_length.
-
-    Includes the empty path (length 0, zero edges) at ``start``; emission is
-    best-first, so lengths are non-decreasing and truncation at the horizon
-    is exact.  Paths on an unannotated graph carry probability 1.
-    """
-    g.out_edges(start)  # index check
-    seq = _counter()
-    heap = []
-    if budget.max_length >= 0.0:
-        heap.append((0.0, next(seq), start, 1.0, 0))
-    emitted = 0
-    while heap:
-        length, _, vertex, prob, edges = heapq.heappop(heap)
-        emitted += 1
-        if emitted > budget.max_paths:
-            budget.overflow = True
-            raise BudgetOverflow(emitted)
-        yield PathAtom(
-            terminal_vertex=vertex, length=length, probability=prob, edge_count=edges
-        )
-        for e in g.out_edges(vertex):
-            ext = length + e.length
-            if ext <= budget.max_length:
-                p = prob if e.probability is None else prob * e.probability
-                heapq.heappush(heap, (ext, next(seq), e.target, p, edges + 1))
 
 
 # -- class expansion ------------------------------------------------------------

@@ -2,10 +2,10 @@
 
 Fixtures: the canonical two-vertex example and small loop graphs.  References
 kept as oracles for the library's faster routes: the cofactor adjugate, the
-per-vertex walk loop, the best-first heap over length-class rows with the
-per-class grid sweep of every count/prob family, the recursive cycle DFS
-with the incommensurability scan over its full sorted list, and the heap and
-stack that split intervals one at a time.
+per-vertex walk loop, the path-by-path enumeration, the best-first heap over
+length-class rows with the per-class grid sweep of every count/prob family,
+the recursive cycle DFS with the incommensurability scan over its full
+sorted list, and the heap and stack that split intervals one at a time.
 """
 
 import bisect
@@ -15,6 +15,7 @@ import itertools
 import math
 import numbers
 import random
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -74,6 +75,47 @@ def cofactor_adjugate(a):
             minor = a[np.ix_(rows != i, rows != j)]
             out[j, i] = (-1) ** (i + j) * np.linalg.det(minor)
     return out
+
+
+@dataclass(frozen=True)
+class PathAtom:
+    """One finite path: where it ends, its exact length and weight."""
+
+    terminal_vertex: int
+    length: float
+    probability: float
+    edge_count: int
+
+
+def enumerate_paths(g, start, budget):
+    """Yield every path from ``start`` of length <= budget.max_length.
+
+    The literal path-by-path enumeration, kept as the oracle for the
+    library's length classes: includes the empty path (length 0, zero edges)
+    at ``start``; emission is best-first, so lengths are non-decreasing and
+    truncation at the horizon is exact.  Paths on an unannotated graph carry
+    probability 1.  The budget caps the number of emitted paths.
+    """
+    g.out_edges(start)  # index check
+    seq = itertools.count()
+    heap = []
+    if budget.max_length >= 0.0:
+        heap.append((0.0, next(seq), start, 1.0, 0))
+    emitted = 0
+    while heap:
+        length, _, vertex, prob, edges = heapq.heappop(heap)
+        emitted += 1
+        if emitted > budget.max_paths:
+            budget.overflow = True
+            raise oracle.BudgetOverflow(emitted)
+        yield PathAtom(
+            terminal_vertex=vertex, length=length, probability=prob, edge_count=edges
+        )
+        for e in g.out_edges(vertex):
+            ext = length + e.length
+            if ext <= budget.max_length:
+                p = prob if e.probability is None else prob * e.probability
+                heapq.heappush(heap, (ext, next(seq), e.target, p, edges + 1))
 
 
 def heap_expand_classes(g, start, budget):

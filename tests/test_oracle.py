@@ -1,9 +1,10 @@
 """Exact counting and probability masses against hand counts and identities.
 
 Claims covered:
-    - the atom stream is exhaustive below the horizon, ordered by length,
-      includes the empty path, and respects the safety cap; on a graph
-      without edges the class route also gives just the empty path
+    - the path-by-path reference enumeration is exhaustive below the
+      horizon, ordered by length, includes the empty path, and respects the
+      safety cap; on a graph without edges the class route also gives just
+      the empty path
     - path counts match hand enumerations (compositions into loop lengths,
       shortest connecting paths) and an independent recursive counter
     - the aggregated length-class route agrees exactly with the literal
@@ -31,14 +32,13 @@ from orbitcount.oracle import (
     count_edge_hits_exact,
     count_paths_exact,
     edge_probability_exact,
-    enumerate_paths,
     survival_exact,
     truncated_laplace_sum,
     vertex_probability_atoms,
 )
 from orbitcount.spectral import MatrixFunction, Mode, solve_lambda
 
-from conftest import two_vertex_spec
+from conftest import enumerate_paths, two_vertex_spec
 
 
 def dfs_count(g, v, j, remaining):
