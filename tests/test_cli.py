@@ -15,9 +15,11 @@ Claims covered:
       (fractional or boolean vertex counts, endpoints, types and dimensions
       among them), bad --alpha ratios, fractional --n generations, vertex
       indices outside the graph, a family without its --to or --edge, a
-      non-finite laplace --s, an analyze --tolerance that is not positive
-      and finite and an analyze --max-denominator or --max-edges below 1
-      end in exit 1 with one diagnostic line, not a traceback
+      non-finite laplace --s, a kakutani --threshold that is negative or
+      not finite, a splitting rule whose scale-1 children cycle, an analyze
+      --tolerance that is not positive and finite and an analyze
+      --max-denominator or --max-edges below 1 end in exit 1 with one
+      diagnostic line, not a traceback
     - python -m orbitcount runs the same CLI
     - analyze on a 100-vertex ring with the default cycle bound finishes
       within 20 s, its witness the two shortest cycles
