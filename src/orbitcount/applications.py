@@ -113,21 +113,16 @@ class Partition:
         return self.left + self.length
 
 
-def _split_tree(rule: SplitRule, cutoff: float):
-    """(left, length, type, parent index) of the tree splitting nodes above ``cutoff``."""
+def _levels(rule: SplitRule, splits):
+    """Levels (left, length, type, parent index) of the tree splitting where ``splits(length)``."""
     if rule.dimension != 1:
         raise VolumeNotConserved(
             f"interval splitting needs a 1-dimensional rule, got d={rule.dimension}"
         )
-    step = {t: c for t, kids in enumerate(rule.prototiles, start=1) for c, s in kids if s == 1.0}
-    for _ in rule.prototiles:
-        step = {t: c for t, c in step.items() if c in step}
-    if step:
-        raise ValidationError("scale-1 children form a cycle, so splitting never ends")
-    level, levels, start = (np.zeros(1), np.ones(1), np.ones(1, int), np.zeros(1, int)), [], 0
+    level, start = (np.zeros(1), np.ones(1), np.ones(1, int), np.zeros(1, int)), 0
     while len(level[0]):
-        levels.append(level)
-        split = np.flatnonzero(level[1] > cutoff)
+        yield level
+        split = splits(level[1]).nonzero()[0]
         columns = []
         for t, children in enumerate(rule.prototiles, start=1):
             parent = split[level[2][split] == t]
@@ -136,9 +131,8 @@ def _split_tree(rule: SplitRule, cutoff: float):
                 size = size_of * scale
                 columns.append((at, size, np.full(len(parent), child_type), start + parent))
                 at = at + size  # one sibling at a time, so every float equals a loop's
-        level = tuple(np.concatenate(c) for c in zip(*columns))
-        start += len(levels[-1][0])
-    return [np.concatenate(c) for c in zip(*levels)]
+        start += len(level[0])
+        level = tuple(map(np.concatenate, zip(*columns)))
 
 
 def _partition(tree, split) -> Partition:
@@ -153,16 +147,31 @@ def kakutani_partition(rule: SplitRule, n: int) -> Partition:
 
     Ties break leftmost, so commensurable rules stay deterministic.  No child
     is longer than its parent and a scale-1 child ties it one level down, so
-    the n first tree nodes under (-length, left, depth) split: a stable sort
-    picks them from a tree grown, level by level, to a cutoff n nodes exceed.
+    the n first tree nodes under (-length, left, depth) split.  The tree grows
+    level by level, splitting nodes no shorter than the n-th longest found, and
+    stops once n nodes come before the best node left to split.
     """
     if n < 0:
         raise ValidationError("generation must be >= 0")
-    for cutoff in 0.5 ** np.arange(64) / (n + 1):  # 1/(n + 1) suffices for binary rules
-        tree = left, length, _, _ = _split_tree(rule, cutoff)
-        inner = np.flatnonzero(length > cutoff)
-        if len(inner) >= n:
-            break
+    # At least n nodes exceed c = 1/(n (k - 1) + 1), k the most children of a
+    # prototile: the leaves below them sum to 1, and a split adds < k leaves.
+    cutoff = 1.0 / (n * max(max(map(len, rule.prototiles)) - 1, 1) + 1)
+    levels, size, floor, depth_due, size_due = [], 0, np.nextafter(cutoff, 2.0), 0, 0
+    for level in _levels(rule, lambda length: length >= floor):
+        levels.append(level)
+        size += len(level[0])
+        if size <= n or len(levels) <= depth_due and size < size_due:
+            continue
+        # Check again once the depth grows by an eighth or the node count doubles.
+        depth_due, size_due = len(levels) + len(levels) // 8, 2 * size
+        left, length = (np.concatenate([lv[c] for lv in levels]) for c in (0, 1))
+        top = level[1].max()  # the best node left to split, if not below the floor
+        first = level[0][level[1] == top].min()
+        if top < floor or np.count_nonzero((length > top) | (length == top) & (left <= first)) > n:
+            break  # (the count includes that node itself)
+        floor = max(floor, np.partition(length, size - n)[size - n])
+    tree = left, length, _, _ = [np.concatenate(c) for c in zip(*levels)]
+    inner = np.flatnonzero(length >= floor)
     split = np.zeros(len(left), dtype=bool)
     split[inner[np.lexsort((left[inner], -length[inner]))[:n]]] = True
     return _partition(tree, split)
@@ -173,12 +182,18 @@ def kakutani_threshold_partition(rule: SplitRule, x: float) -> Partition:
 
     Splitting is order-independent here, and the interval count equals the
     total number of length-x paths onto edges of the associated graph
-    (exactly, away from the countable set of boundary x values).
+    (exactly, away from the countable set of boundary x values).  Scale-1
+    children that form a cycle never shrink an interval, so they are refused.
     """
     if not (math.isfinite(x) and x >= 0.0):
         raise ValidationError("threshold exponent must be finite and >= 0")
+    step = {t: c for t, kids in enumerate(rule.prototiles, start=1) for c, s in kids if s == 1.0}
+    for _ in rule.prototiles:
+        step = {t: c for t, c in step.items() if c in step}
+    if step:
+        raise ValidationError("scale-1 children form a cycle, so splitting never ends")
     cutoff = math.exp(-x)
-    tree = _split_tree(rule, cutoff)
+    tree = [np.concatenate(c) for c in zip(*_levels(rule, lambda length: length > cutoff))]
     return _partition(tree, tree[1] > cutoff)
 
 
@@ -202,22 +217,12 @@ def substitution_graph(rule: SplitRule, dimension: int | None = None) -> Weighte
     graph validation; volume conservation in the stated dimension is checked
     up front.
     """
-    if dimension is None:
-        dimension = rule.dimension
+    dimension = rule.dimension if dimension is None else dimension
     if dimension != rule.dimension:
         # Re-validate the scale data in the requested dimension.
         SplitRule(dimension=dimension, prototiles=rule.prototiles)
-    edges = []
-    for source, children in enumerate(rule.prototiles, start=1):
-        for child_type, scale in children:
-            edges.append(
-                Edge(
-                    id=len(edges),
-                    source=source,
-                    target=child_type,
-                    length=-math.log(scale),
-                )
-            )
+    ends = [(s, t, c) for s, kids in enumerate(rule.prototiles, start=1) for t, c in kids]
+    edges = [Edge(k, s, t, -math.log(c)) for k, (s, t, c) in enumerate(ends)]
     return WeightedDigraph(vertex_count=len(rule.prototiles), edges=tuple(edges))
 
 
@@ -251,12 +256,7 @@ def verify_substitution_properties(
             f"|lam - d| = {lam_res:g}, |M(d) 1 - 1| = {vec_res:g}",
             residuals={"lambda": lam_res, "eigenvector": vec_res},
         )
-    return SubstitutionReport(
-        dimension=dimension,
-        lam=sol.lam,
-        lambda_residual=lam_res,
-        eigenvector_residual=vec_res,
-    )
+    return SubstitutionReport(dimension, sol.lam, lam_res, vec_res)
 
 
 def pascal_region_count(a: int, b: int, x: float) -> int:

@@ -9,8 +9,11 @@ Claims covered:
       references bit for bit (left ends, lengths, types and split counts)
       for 1/2, 1/3, 0.21 and 0.3 splits, a three-child rule, a two-prototile
       rule and a rule with a scale-1 child, at n = 0..500, 2000 and 20000
-      and at thresholds 0..9.5
-    - a rule whose scale-1 children cycle is refused by both forms
+      and at thresholds 0..9.5, and for 0.01 and 0.001 splits up to n = 2000
+    - a rule whose scale-1 children cycle is refused by the threshold form,
+      while the n-split form equals the heap reference on it
+    - a few splits of a rule whose long child is nearly the whole interval
+      (scale 1 - 1e-4, 1 - 1e-6, 1 - 1e-13) finish within a timeout
     - threshold partitions match the on-edge counts of the associated graph
       exactly at random thresholds, and measure is conserved at every x
     - star discrepancy matches closed forms (single point, uniform grid) and
@@ -21,11 +24,17 @@ Claims covered:
       (a, b) <= 3, x <= 12 range
 """
 
+import ast
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import orbitcount
 from orbitcount import build_graph
 from orbitcount.applications import (
     Partition,
@@ -137,12 +146,71 @@ def test_threshold_partition_equals_stack_reference(name):
 
 def test_scale_one_cycle_refused():
     # Prototiles 1 and 2 turn into each other at the same size: splitting
-    # never shrinks an interval, so neither form could finish.
+    # never shrinks an interval, so the threshold form could not finish.
     rule = SplitRule(1, (((2, 1.0),), ((1, 1.0),)))
     with pytest.raises(ValidationError, match="scale-1 children form a cycle"):
         kakutani_threshold_partition(rule, 1.0)
-    with pytest.raises(ValidationError, match="scale-1 children form a cycle"):
-        kakutani_partition(rule, 3)
+
+
+SCALE_ONE_CYCLES = {
+    "self": SplitRule(1, (((1, 1.0),),)),
+    "pair": SplitRule(1, (((2, 1.0),), ((1, 1.0),))),
+    "halves-then-pair": SplitRule(1, (((2, 0.5), (2, 0.5)), ((3, 1.0),), ((2, 1.0),))),
+}
+
+
+@pytest.mark.parametrize("name", list(SCALE_ONE_CYCLES))
+def test_scale_one_cycle_partition_equals_heap_reference(name):
+    # The n-split form stays finite on a cycle: its n splits are the first n
+    # nodes of the endless same-size chain.
+    rule = SCALE_ONE_CYCLES[name]
+    for n in range(60):
+        part = kakutani_partition(rule, n)
+        assert (_rows(part), part.generation) == (heap_kakutani_partition(rule, n), n)
+
+
+@pytest.mark.parametrize("alpha", [0.01, 0.001])
+def test_skewed_rule_equals_heap_reference(alpha):
+    # Deep, narrow trees: the split nodes run hundreds of levels down the
+    # long child while the short children stay far below the n-th longest.
+    rule = SplitRule.from_ratios([alpha, 1.0 - alpha])
+    for n in [1, 2, 3, 10, 100, 777, 2000]:
+        assert _rows(kakutani_partition(rule, n)) == heap_kakutani_partition(rule, n)
+
+
+def _rows_in_child(rule, generations, timeout):
+    """Partition rows for each n, computed in a child process under a timeout."""
+    code = (
+        "from orbitcount.applications import SplitRule, kakutani_partition\n"
+        f"rule = SplitRule(1, {rule.prototiles!r})\n"
+        f"for n in {list(generations)!r}:\n"
+        "    p = kakutani_partition(rule, n)\n"
+        "    print(list(zip(p.left.tolist(), p.length.tolist(), p.type.tolist())))\n"
+    )
+    src = str(Path(orbitcount.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=timeout
+    )
+    assert done.returncode == 0, done.stderr
+    return [ast.literal_eval(line) for line in done.stdout.splitlines()]
+
+
+@pytest.mark.parametrize(
+    "rule, generations",
+    [
+        (SplitRule.from_ratios([1e-4, 1 - 1e-4]), [1]),
+        (SplitRule.from_ratios([1e-6, 1 - 1e-6]), range(21)),
+        (SplitRule(1, (((1, 1 - 1e-13),),)), range(6)),
+    ],
+    ids=["alpha-1e-4", "alpha-1e-6", "scale-1-minus-1e-13"],
+)
+def test_few_splits_of_a_nearly_whole_child_return_at_once(rule, generations):
+    # The split tree down to 1/(n + 1) is thousands to 1e13 levels deep here,
+    # but the first n splits all lie on the first n levels.
+    rows = _rows_in_child(rule, generations, timeout=30)
+    assert rows == [heap_kakutani_partition(rule, n) for n in generations]
 
 
 # -- threshold form ------------------------------------------------------------------
