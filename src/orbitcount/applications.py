@@ -22,6 +22,11 @@ from .spectral import MatrixFunction, Mode, solve_lambda
 
 VOLUME_TOLERANCE = 1e-12
 
+# Threshold split trees deeper than this are refused.  A level costs ~20 us
+# and ~0.75 KB in numpy arrays even when one interval splits, so 1e5 levels
+# take ~2 s and ~75 MB; a scale just below 1 could ask for 1e13.
+MAX_SPLIT_DEPTH = 100_000
+
 
 @dataclass(frozen=True)
 class SplitRule:
@@ -184,6 +189,7 @@ def kakutani_threshold_partition(rule: SplitRule, x: float) -> Partition:
     total number of length-x paths onto edges of the associated graph
     (exactly, away from the countable set of boundary x values).  Scale-1
     children that form a cycle never shrink an interval, so they are refused.
+    So is a tree that may be deeper than ``MAX_SPLIT_DEPTH`` levels.
     """
     if not (math.isfinite(x) and x >= 0.0):
         raise ValidationError("threshold exponent must be finite and >= 0")
@@ -192,6 +198,16 @@ def kakutani_threshold_partition(rule: SplitRule, x: float) -> Partition:
         step = {t: c for t, c in step.items() if c in step}
     if step:
         raise ValidationError("scale-1 children form a cycle, so splitting never ends")
+    # Acyclic scale-1 chains take fewer than P levels, P prototiles, so a
+    # path shrinks by the largest scale s* < 1 (one exists, or the chains
+    # would cycle) at least once every P levels, and a split node is longer
+    # than e^(-x): at most P (ceil(x / -log s*) + 1) levels in all.
+    shrink = -math.log(max(s for kids in rule.prototiles for _, s in kids if s < 1.0))
+    depth = len(rule.prototiles) * (math.ceil(min(x / shrink, MAX_SPLIT_DEPTH)) + 1)
+    if depth > MAX_SPLIT_DEPTH:
+        raise ValidationError(
+            f"threshold exponent {x!r} may need more than {MAX_SPLIT_DEPTH} split levels"
+        )
     cutoff = math.exp(-x)
     tree = [np.concatenate(c) for c in zip(*_levels(rule, lambda length: length > cutoff))]
     return _partition(tree, tree[1] > cutoff)

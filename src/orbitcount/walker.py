@@ -12,7 +12,14 @@ Randomness comes from the counter-based Philox generator keyed by the caller
 seed.  Ensemble run r consumes the uniform block [r*K, (r+1)*K) of that
 stream (K = the per-run draw budget), which makes runs independent,
 reproducible bit-for-bit, and insensitive to batching.  A horizon whose K
-exceeds the uniforms held per batch is rejected before any draw.
+exceeds the uniforms held at once is rejected before any draw.
+
+Batches run concurrently, one thread per usable CPU (numpy releases the
+interpreter lock in the Philox fill and the array loops of a step).  Each
+batch builds its own generator and jumps it straight to its first walker's
+block, so the outcomes do not depend on the CPU count or the batch size.
+Batches shrink as threads are added, so the uniforms held at once stay
+within the single-thread budget.
 
 One step moves every walker at once, whatever its vertex.  Padded tables
 give each vertex a row of cumulative probabilities (+inf past its out-degree)
@@ -25,6 +32,7 @@ compacted out of the moving set, and only their outcome codes are written.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +44,7 @@ from .graph import WeightedDigraph
 # stochastic, so the exit branch is provably never taken.
 STOCHASTIC_SLACK = 1e-12
 
-_BATCH_DRAWS = 1 << 21  # uniforms held in memory at once per batch
+_BATCH_DRAWS = 1 << 21  # uniforms held in memory at once, over all threads
 
 # Outcome code of a walker sitting at a vertex exactly at the horizon; edge
 # ids are >= 0 and the exit slot's id is -1.
@@ -92,8 +100,57 @@ def _draw_budget(g: WeightedDigraph, horizon: float) -> int:
     return int(traversals) + 2
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
+def _walk_batch(tables, start: int, horizon: float, k_draws: int, seed: int, first: int, size: int):
+    """Outcome codes of walkers ``first`` .. ``first + size - 1``, one int64 each.
+
+    Walker r reads the uniforms [r*K, (r+1)*K) of the seed's Philox stream.
+    ``advance(d)`` skips 4d doubles, so the batch jumps to the block of
+    ``first`` and drops the remainder of its offset modulo 4.
+    """
+    cum, width, length, target, ids = tables
+    rng = np.random.Generator(np.random.Philox(seed))
+    jump, skip = divmod(first * k_draws, 4)
+    rng.bit_generator.advance(jump)
+    uniforms = rng.random(skip + size * k_draws)[skip:].reshape(size, k_draws)
+    # Outcome codes, written when a walker stops; at T = 0 nobody moves.
+    final = np.full(size, _AT_VERTEX, dtype=np.int64)
+    # The walkers still moving: their indices (None while that is all of
+    # them), vertices and arrival times.
+    idx = None
+    v = np.full(size if horizon > 0.0 else 0, start, dtype=np.int64)
+    t = np.zeros(v.size)
+    for step in range(k_draws):
+        if v.size == 0:
+            break
+        u = uniforms[:, step] if idx is None else uniforms[idx, step]
+        slot = v * width
+        for column in cum:  # the edge searchsorted(side="right") picks
+            slot += column.take(v) <= u
+        arrival = t + length.take(slot)
+        stop = arrival >= horizon
+        if stop.any():
+            if idx is None:
+                idx = np.arange(size)
+            # Past T: on the edge, or exited (slot id -1); else at a vertex.
+            final[idx[stop]] = np.where(arrival[stop] > horizon, ids[slot[stop]], _AT_VERTEX)
+            keep = np.flatnonzero(~stop)
+            idx, slot, arrival = idx.take(keep), slot.take(keep), arrival.take(keep)
+        v, t = target.take(slot), arrival
+    if v.size:
+        raise AssertionError("draw budget exhausted; walk logic violated its bound")
+    return final
+
+
 def _ensemble_outcomes(g: WeightedDigraph, start: int, horizon: float, n: int, seed: int):
-    """Yield one int64 array of outcome codes per batch, one per walker.
+    """Yield one int64 array of outcome codes per batch, in walker order.
 
     A code is the id of the edge the walker is on at the horizon, -1 if it
     left the graph, or ``_AT_VERTEX`` if it arrived at a vertex exactly at
@@ -104,42 +161,28 @@ def _ensemble_outcomes(g: WeightedDigraph, start: int, horizon: float, n: int, s
     if n < 1:
         raise ValidationError("sample count must be >= 1")
     g.out_edges(start)  # IndexOutOfRange for a start outside 1..n
-    cum, width, length, target, ids = _walk_tables(g)
+    tables = _walk_tables(g)
     k_draws = _draw_budget(g, horizon)
-    batch = max(1, _BATCH_DRAWS // k_draws)
-    rng = np.random.Generator(np.random.Philox(seed))
-    done = 0
-    while done < n:
-        size = min(batch, n - done)
-        uniforms = rng.random((size, k_draws))
-        # Outcome codes, written when a walker stops; at T = 0 nobody moves.
-        final = np.full(size, _AT_VERTEX, dtype=np.int64)
-        # The walkers still moving: their indices (None while that is all of
-        # them), vertices and arrival times.
-        idx = None
-        v = np.full(size if horizon > 0.0 else 0, start, dtype=np.int64)
-        t = np.zeros(v.size)
-        for step in range(k_draws):
-            if v.size == 0:
-                break
-            u = uniforms[:, step] if idx is None else uniforms[idx, step]
-            slot = v * width
-            for column in cum:  # the edge searchsorted(side="right") picks
-                slot += column.take(v) <= u
-            arrival = t + length.take(slot)
-            stop = arrival >= horizon
-            if stop.any():
-                if idx is None:
-                    idx = np.arange(size)
-                # Past T: on the edge, or exited (slot id -1); else at a vertex.
-                final[idx[stop]] = np.where(arrival[stop] > horizon, ids[slot[stop]], _AT_VERTEX)
-                keep = np.flatnonzero(~stop)
-                idx, slot, arrival = idx.take(keep), slot.take(keep), arrival.take(keep)
-            v, t = target.take(slot), arrival
-        if v.size:
-            raise AssertionError("draw budget exhausted; walk logic violated its bound")
-        yield final
-        done += size
+    cpus = _usable_cpus()
+    batch = max(1, _BATCH_DRAWS // k_draws // cpus)
+    firsts = range(0, n, batch)
+    # Each thread holds one batch of uniforms: at most _BATCH_DRAWS in all.
+    workers = min(cpus, len(firsts), _BATCH_DRAWS // k_draws)
+
+    def walk(first):
+        return _walk_batch(tables, start, horizon, k_draws, seed, first, min(batch, n - first))
+
+    if workers == 1:
+        yield from map(walk, firsts)
+        return
+    # Imported here, not at the top: it loads logging, ~8 ms at every start.
+    from concurrent.futures import ThreadPoolExecutor
+
+    # map yields in submission order, cancels the batches not yet started
+    # when one raises or the caller stops, and re-raises the worker's
+    # exception; leaving the block joins the threads.
+    with ThreadPoolExecutor(workers) as pool:
+        yield from pool.map(walk, firsts)
 
 
 def _estimate(successes: int, n: int, seed: int) -> EnsembleEstimate:

@@ -152,6 +152,21 @@ def test_scale_one_cycle_refused():
         kakutani_threshold_partition(rule, 1.0)
 
 
+def test_split_deeper_than_the_limit_is_refused_at_once(monkeypatch):
+    # Validation lets a scale within 1e-12 of 1 through; at x = 1 the only
+    # child needs ~1e13 levels to shrink below e^(-1).
+    with pytest.raises(ValidationError, match="may need more than 100000 split levels"):
+        kakutani_threshold_partition(SplitRule(1, (((1, 1 - 1e-13),),)), 1.0)
+    # Two prototiles, one a scale-1 step: 2 (ceil(x / -log 0.99) + 1) levels,
+    # 200 at x = 0.99 and 202 at x = 1.
+    monkeypatch.setattr(orbitcount.applications, "MAX_SPLIT_DEPTH", 200)
+    rule = SplitRule(1, (((2, 0.01), (2, 0.99)), ((1, 1.0),)))
+    part = kakutani_threshold_partition(rule, 0.99)
+    assert (_rows(part), part.generation) == stack_threshold_partition(rule, 0.99)
+    with pytest.raises(ValidationError, match="may need more than 200 split levels"):
+        kakutani_threshold_partition(rule, 1.0)
+
+
 SCALE_ONE_CYCLES = {
     "self": SplitRule(1, (((1, 1.0),),)),
     "pair": SplitRule(1, (((2, 1.0),), ((1, 1.0),))),

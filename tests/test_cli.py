@@ -219,6 +219,8 @@ def test_walk_unbounded_horizon_and_bad_start_exit_1(stochastic_path, capsys):
          "threshold exponent must be finite and >= 0"),
         (["kakutani", "--rule", "{cycle}", "--threshold", "1"],
          "scale-1 children form a cycle, so splitting never ends"),
+        (["kakutani", "--alpha", "1e-6", "--threshold", "1"],
+         "threshold exponent 1.0 may need more than 100000 split levels"),
         (["count", "{g}", "--family", "A", "--from", "1", "--to", "3", "--x", "4"],
          "vertex 3 outside 1..2"),
         (["laplace", "{g}", "--family", "A", "--from", "3", "--to", "1", "--s", "2"],
@@ -243,7 +245,7 @@ def test_walk_unbounded_horizon_and_bad_start_exit_1(stochastic_path, capsys):
     ],
     ids=["walk-n0", "prob-negative-window", "prob-nan-window", "prob-inf-window",
          "kakutani-negative-threshold", "kakutani-nan-threshold", "kakutani-inf-threshold",
-         "kakutani-scale-one-cycle", "count-target-out-of-range",
+         "kakutani-scale-one-cycle", "kakutani-too-deep", "count-target-out-of-range",
          "laplace-start-out-of-range", "laplace-start-zero", "laplace-nan-s",
          "laplace-nan-real-part", "laplace-infinite-imaginary-part",
          "analyze-zero-denominator", "analyze-negative-denominator",
@@ -255,7 +257,8 @@ def test_library_validation_exit_1(stochastic_path, tmp_path, capsys, argv, mess
     # transform and the cycle-ratio scan, not in the argument parser; they
     # still end in exit 1, not a traceback.  Before the threshold checks, a
     # NaN exponent printed the unsplit interval and an infinite one, or a
-    # rule whose scale-1 child is itself, never returned.
+    # rule whose scale-1 child is itself, never returned; alpha 1e-6 at
+    # threshold 1 took a million levels.
     cycle = tmp_path / "cycle.json"
     cycle.write_text(json.dumps(
         {"dimension": 1, "prototiles": [{"children": [{"type": 1, "scale": 1}]}]}))

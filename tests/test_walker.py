@@ -5,9 +5,14 @@ Claims covered:
     - run 0 of the vectorized ensemble matches a walk stepped by hand from
       the same uniforms
     - the padded-table ensemble step yields the same outcome codes, bit for
-      bit and batch by batch, as the per-vertex loop kept in conftest
-    - a horizon whose draw budget exceeds one batch, or a start vertex
-      outside the graph, is a validation error raised before any draw
+      bit and walker by walker, as the per-vertex loop kept in conftest, on
+      1, 2 or 3 threads, with batches starting at every stream offset
+      modulo 4 and with fewer walkers than threads
+    - a horizon whose draw budget exceeds one batch, a start vertex outside
+      the graph, a negative horizon or no walkers is a validation error
+      raised before any draw
+    - an error raised in a worker thread reaches the caller as the same
+      exception object, with no worker thread left running
     - the probability-1 loop walk is deterministic: on the loop at
       non-integer times, at the vertex at integer times and at T=0
     - ensemble survival and edge-occupation frequencies agree with the exact
@@ -18,6 +23,7 @@ Claims covered:
 """
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -125,7 +131,7 @@ KERNEL_CASES = {
         {"from": 1, "to": 1, "length": 1.0, "probability": 1.0}]}, 1, (0.0, 3.0, 3.5)),
     "two_vertex_p09": (two_vertex_spec(probability=0.45), 2, (0.0, 2 * math.log(2), 7.3)),
     "ring20_p09": (ring_spec(20, 20, 0.9), 1, (0.0, 8.3)),
-    "ring50_p1": (ring_spec(50, 50, 1.0), 7, (11.3,)),
+    "ring50_p1": (ring_spec(50, 50, 1.0), 7, (0.0, 11.3)),
 }
 
 
@@ -133,13 +139,29 @@ KERNEL_CASES = {
 def test_kernel_matches_vertex_loop_reference(case, monkeypatch):
     spec, start, horizons = KERNEL_CASES[case]
     g = build_graph(spec)
-    kinds = set()
-    for horizon in horizons:
-        kinds |= _kinds(assert_matches_loop_kernel(g, start, horizon, 3000, seed=5))
-    # A small batch cap makes every walk set span several batches.
-    monkeypatch.setattr(walker, "_BATCH_DRAWS", 256)
-    for horizon in horizons:
-        kinds |= _kinds(assert_matches_loop_kernel(g, start, horizon, 200, seed=9))
+    kinds, offsets = set(), set()
+    walk_batch = walker._walk_batch
+
+    def recorded(tables, start, horizon, k_draws, seed, first, size):
+        offsets.add(first * k_draws % 4)
+        # A batch holds one thread's share of the uniforms, or one walker.
+        assert size * k_draws <= max(walker._BATCH_DRAWS // workers, k_draws)
+        return walk_batch(tables, start, horizon, k_draws, seed, first, size)
+
+    monkeypatch.setattr(walker, "_walk_batch", recorded)
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(walker, "_usable_cpus", lambda: workers)
+        monkeypatch.setattr(walker, "_BATCH_DRAWS", 1 << 21)
+        for horizon in horizons:
+            kinds |= _kinds(assert_matches_loop_kernel(g, start, horizon, 3000, seed=5))
+        # A small batch cap makes every walk set span several batches, and
+        # puts batch starts at offsets the 4-double Philox jump cannot reach.
+        monkeypatch.setattr(walker, "_BATCH_DRAWS", 250)
+        for horizon in horizons:
+            for n in (1, 2, 200):  # fewer walkers than threads, too
+                kinds |= _kinds(assert_matches_loop_kernel(g, start, horizon, n, seed=9))
+    # An even draw budget (as at T = 0) reaches offsets 0 and 2 only.
+    assert offsets == {0, 1, 2, 3} if case in ("ragged", "unit_loop", "two_vertex_p09") else {0, 2}
     if case in ("ragged", "two_vertex_p09"):
         assert kinds == {_AT_VERTEX, -1, 0}
 
@@ -176,6 +198,36 @@ def test_start_outside_the_graph_is_a_validation_error(half_loop):
     for start in (0, 2, -1):
         with pytest.raises(IndexOutOfRange):
             ensemble_survival(half_loop, start, 2.5, 10, seed=0)
+
+
+def test_validation_errors_come_before_any_draw(half_loop, monkeypatch):
+    def walked(*args):
+        raise AssertionError("a batch was walked")
+
+    monkeypatch.setattr(walker, "_walk_batch", walked)
+    monkeypatch.setattr(walker, "_usable_cpus", lambda: 2)
+    for start, horizon, n in ((1, -1.0, 10), (1, 2.5, 0), (1, math.inf, 10), (2, 2.5, 10)):
+        with pytest.raises(ValidationError):
+            ensemble_survival(half_loop, start, horizon, n, seed=0)
+
+
+def test_worker_error_reaches_the_caller_with_no_thread_left(half_loop, monkeypatch):
+    error = RuntimeError("batch failed")
+    walk_batch = walker._walk_batch
+
+    def failing(tables, start, horizon, k_draws, seed, first, size):
+        if first == 3 * size:  # the fourth batch of many
+            raise error
+        return walk_batch(tables, start, horizon, k_draws, seed, first, size)
+
+    monkeypatch.setattr(walker, "_walk_batch", failing)
+    monkeypatch.setattr(walker, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(walker, "_BATCH_DRAWS", 256)
+    before = set(threading.enumerate())
+    with pytest.raises(RuntimeError) as raised:
+        ensemble_survival(half_loop, 1, 2.5, 1000, seed=0)
+    assert raised.value is error
+    assert set(threading.enumerate()) == before
 
 
 def test_ensemble_survival_matches_exact(half_loop):
