@@ -19,7 +19,8 @@ interpreter lock in the Philox fill and the array loops of a step).  Each
 batch builds its own generator and jumps it straight to its first walker's
 block, so the outcomes do not depend on the CPU count or the batch size.
 Batches shrink as threads are added, so the uniforms held at once stay
-within the single-thread budget.
+within the single-thread budget, and are cut equal, a whole number per
+thread, so that no thread idles while another walks the last batch.
 
 One step moves every walker at once, whatever its vertex.  Padded tables
 give each vertex a row of cumulative probabilities (+inf past its out-degree)
@@ -164,10 +165,14 @@ def _ensemble_outcomes(g: WeightedDigraph, start: int, horizon: float, n: int, s
     tables = _walk_tables(g)
     k_draws = _draw_budget(g, horizon)
     cpus = _usable_cpus()
-    batch = max(1, _BATCH_DRAWS // k_draws // cpus)
+    fit = _BATCH_DRAWS // k_draws  # walkers whose uniforms fit in memory at once
+    # Each thread holds one batch, at most its share of the uniforms (or one
+    # walker), so no more threads than such batches or than walkers that fit.
+    workers = min(cpus, -(-n // max(1, fit // cpus)), fit)
+    # Equal batches, in rounds of one per thread, so no thread idles at the end.
+    rounds = -(-n // (max(1, fit // workers) * workers))
+    batch = -(-n // (rounds * workers))
     firsts = range(0, n, batch)
-    # Each thread holds one batch of uniforms: at most _BATCH_DRAWS in all.
-    workers = min(cpus, len(firsts), _BATCH_DRAWS // k_draws)
 
     def walk(first):
         return _walk_batch(tables, start, horizon, k_draws, seed, first, min(batch, n - first))
@@ -175,7 +180,7 @@ def _ensemble_outcomes(g: WeightedDigraph, start: int, horizon: float, n: int, s
     if workers == 1:
         yield from map(walk, firsts)
         return
-    # Imported here, not at the top: it loads logging, ~8 ms at every start.
+    # Imported here, not at the top: it loads logging, ~7 ms at every start.
     from concurrent.futures import ThreadPoolExecutor
 
     # map yields in submission order, cancels the batches not yet started
