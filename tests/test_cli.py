@@ -9,7 +9,8 @@ Claims covered:
       verification; laplace covers values and the residue scan
     - outputs are byte-for-byte deterministic given the same invocation;
       analyze, count, prob, walk, laplace and kakutani outputs are frozen as
-      golden bytes (long kakutani dumps as a line count and sha256)
+      golden bytes (long kakutani dumps, and analyze on 20- and 100-vertex
+      rings, as a line count and sha256)
     - exit codes: 1 validation (also from checks inside the library), 2
       numerical failure, 3 budget overflow; malformed graph and rule files
       (fractional or boolean vertex counts, endpoints, types and dimensions
@@ -984,6 +985,35 @@ def test_analyze_ring20_q_and_fixed_lines(mode, tmp_path, capsys):
     adj = cofactor_adjugate(np.eye(f.dimension) - f.evaluate(lam))
     expected = adj / -np.trace(adj @ f.evaluate_derivative(lam))
     assert np.max(np.abs(q - expected)) <= 1e-10 * np.max(np.abs(expected))
+
+
+# Whole analyze stdout at the sizes that hold the benchmark's median (n=20)
+# and tail (n=100), Q rows included: its line count and sha256.
+ANALYZE_DIGESTS = [
+    ('ring20', 'counting', 33,
+     '7ef47d69a803027ecf8df8bda3bda2bc5bc59e1129cea478208d6306fee6d5ab'),
+    ('ring20', 'probability', 33,
+     '8293264173191a3201d659c9910707d398e89c8664ae912becdf35eb8c8ff301'),
+    ('ring20', 'edge', 73,
+     '467339d3a9ff44870bed221924c3765a39c66ee15b9f3e1f39027dcf0167e620'),
+    ('ring100', 'counting', 113,
+     'ac57bcd771572659b8182a0f5564b383c0347a36d9cfa5af2d02ef1c6d047005'),
+    ('ring100', 'probability', 113,
+     'dfe4638123090dbec4a41101152c380e2abbffceba22f3862e3008285d425337'),
+]
+
+
+@pytest.mark.parametrize(
+    "graph, mode, lines, digest", ANALYZE_DIGESTS, ids=[f"{g}-{m}" for g, m, _, _ in ANALYZE_DIGESTS]
+)
+def test_analyze_golden_digests(graph, mode, lines, digest, tmp_path, capsys):
+    n = int(graph[len("ring"):])
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(ring_spec(n, n, 0.9)))
+    assert run(["analyze", str(path), "--max-edges", "8", "--mode", mode]) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") == lines
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # -- golden bytes for walk ------------------------------------------------------------
