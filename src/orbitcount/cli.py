@@ -52,28 +52,38 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _fmt_floats(values: list) -> str:
+    """Space-separated 12-digit floats, from a ``tolist()`` row."""
+    return " ".join([format(v, ".12g") for v in values])
+
+
+def _column_cells(column: tuple) -> list[str]:
+    """One column's cells as _fmt gives them; a column of floats in one format call."""
+    floats = {issubclass(t, float) for t in set(map(type, column))}
+    if floats == {True}:
+        return ("%.12g\n" * len(column) % column).split("\n")[:-1]
+    if floats == {False}:
+        return list(map(str, column))
+    return [_fmt(v) for v in column]
+
+
 def _emit(fmt: str, header: list[str], rows: list[tuple], stream):
-    if fmt == "csv":
-        stream.write(",".join(header) + "\n")
-        for row in rows:
-            stream.write(",".join(_fmt(v) for v in row) + "\n")
-    elif fmt == "jsonl":
+    if fmt == "jsonl":
         for row in rows:
             obj = {
-                k: (float(_fmt(v)) if isinstance(v, float) else v)
+                k: (float(format(v, ".12g")) if isinstance(v, float) else v)
                 for k, v in zip(header, row)
             }
             stream.write(json.dumps(obj) + "\n")
+        return
+    columns = [_column_cells(column) for column in zip(*rows)] or [[] for _ in header]
+    if fmt == "csv":
+        lines = [",".join(header)] + [",".join(cells) for cells in zip(*columns)]
     else:
-        widths = [
-            max(len(h), max((len(_fmt(r[k])) for r in rows), default=0))
-            for k, h in enumerate(header)
-        ]
-        stream.write("  ".join(h.ljust(w) for h, w in zip(header, widths)) + "\n")
-        for row in rows:
-            stream.write(
-                "  ".join(_fmt(v).ljust(w) for v, w in zip(row, widths)) + "\n"
-            )
+        widths = [max(len(h), max(map(len, c), default=0)) for h, c in zip(header, columns)]
+        template = "  ".join([f"%-{w}s" for w in widths])
+        lines = [template % tuple(header)] + [template % cells for cells in zip(*columns)]
+    stream.write("\n".join(lines) + "\n")
 
 
 def _load_graph_arg(path: str):
@@ -150,12 +160,11 @@ def _cmd_analyze(fmt: str, args, stream) -> int:
         ("lambda", sol.lam),
         ("mu_residual", sol.residual),
     ]
-    for i in range(sol.q.shape[0]):
-        rows.append((f"Q_row_{i + 1}", " ".join(_fmt(float(v)) for v in sol.q[i])))
+    rows += [(f"Q_row_{i + 1}", _fmt_floats(q)) for i, q in enumerate(sol.q.tolist())]
     perron = sol.perron_at_lambda
     rows.append(("perron_mu", perron.mu))
-    rows.append(("right_vector", " ".join(_fmt(float(v)) for v in perron.right_vector)))
-    rows.append(("left_vector", " ".join(_fmt(float(v)) for v in perron.left_vector)))
+    rows.append(("right_vector", _fmt_floats(perron.right_vector.tolist())))
+    rows.append(("left_vector", _fmt_floats(perron.left_vector.tolist())))
     verdict = incommensurability_check(
         g,
         max_edges=args.max_edges,

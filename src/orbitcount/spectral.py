@@ -7,11 +7,15 @@ exponent ``lambda`` is the unique real s at which the dominant eigenvalue of
 that matrix equals 1; the rank-one coefficient matrix Q collects the leading
 asymptotic constants.  Everything here is dense and O(n^3) per matrix: M(s)
 is assembled from precomputed term arrays, the adjugate behind Q comes from
-one SVD, and the bisection for ``lambda`` takes most steps from a certified
-Collatz-Wielandt bracket rather than a full Perron solve, so n in the
-hundreds stays interactive.  The sparsity pattern of M(s) is the graph's
-(vertex modes) or its line graph's (edge mode), so strong connectivity of
-the graph stands in for an irreducibility check in the solve.
+one SVD, and the bisection for ``lambda`` usually makes only two full
+Perron solves, at 0 and at ``lambda``: Newton's method certifies an
+enclosure of ``lambda`` that decides the far steps with no evaluation, and
+a Collatz-Wielandt bracket from a warm vector certifies the side of each
+step inside it, so n in the hundreds stays interactive.  ``lambda`` itself
+stays the bisection's midpoint, bit for bit.  The sparsity pattern of M(s)
+is the graph's (vertex modes) or its line graph's (edge mode), so strong
+connectivity of the graph stands in for an irreducibility check in the
+solve.
 """
 
 from __future__ import annotations
@@ -39,15 +43,13 @@ from .graph import WeightedDigraph, strong_connectivity
 PRIMITIVITY_SHIFT = 1e-3
 
 MU_TOLERANCE = 1e-12
-# A Collatz-Wielandt bracket this far from 1 decides the side of mu(sigma)
-# without a full solve (see _CertifiedSign); the bracket's rounding stays
-# below the margin's slack over MU_TOLERANCE up to n ~ 40,000.
-_SIGN_MARGIN = 1e-11
 _WARM_STEPS = 2
 # Perron solves: the Collatz-Wielandt bracket closes to this relative width
 # within this many power steps (and 200 inverse-iteration steps).
 PERRON_TOLERANCE = 1e-13
 PERRON_MAX_ITER = 500
+# Newton steps toward lambda before the certified enclosure gives up.
+_NEWTON_STEPS = 12
 MAX_BISECTIONS = 200
 BRACKET_CEILING = 64.0  # bracket expansion stops at 64 / min edge length
 
@@ -71,7 +73,21 @@ class PerronData:
 
 @dataclass(frozen=True)
 class SpectralSolution:
-    """Critical exponent and coefficient matrix for one matrix function."""
+    """Critical exponent and coefficient matrix for one matrix function.
+
+    ``bracket`` is where the bisection started and ``residual`` is
+    |mu(lam) - 1| from the full solve at ``lam``.  ``enclosure`` is the
+    certified (a, b) with mu(a) > 1 > mu(b), so a < lambda < b, that spared
+    the bisection its far steps; None when lam is an end of the bracket or
+    the enclosure could not be certified.  Its certificate assumes that
+    rounding in M(sigma) moves mu by less than the ~5e-14 slack of the
+    margin (see _sign_margin): each entry w * e^(-sigma*l) is correct to
+    about |sigma * l| / 2 + 2 ulps, so this holds while |lambda| * max l
+    stays below ~200.  ``dmu_dsigma`` is
+    u^T M'(lam) v with the Perron vectors at lam (u^T v = 1): the slope of
+    mu at the root, negative for a simple root, which turns a residual into
+    an error in lam, |mu - 1| / |dmu_dsigma|.
+    """
 
     function: "MatrixFunction"
     lam: float
@@ -79,6 +95,8 @@ class SpectralSolution:
     perron_at_lambda: PerronData
     bracket: tuple[float, float]
     residual: float
+    enclosure: tuple[float, float] | None
+    dmu_dsigma: float
 
     @property
     def graph(self) -> WeightedDigraph:
@@ -373,6 +391,24 @@ def perron_projection(a, method: str = ADJUGATE) -> np.ndarray:
 
 
 _TINY = np.finfo(float).tiny
+_EPS = float(np.finfo(float).eps)
+
+
+def _sign_margin(n: int) -> float:
+    """How far from 1 a bound of an n x n Collatz-Wielandt bracket decides mu's side.
+
+    MU_TOLERANCE, plus the error of a full solve (half of PERRON_TOLERANCE
+    from its bracket's width, n * eps from that bracket's rounding), plus the
+    rounding of the deciding bracket (n * eps).  At one sigma both see the
+    same computed M(sigma), so its rounding does not matter there.  The rest
+    of PERRON_TOLERANCE, ~5e-14 or ~225 ulps, covers it where the enclosure
+    compares two sigmas: each entry w * e^(-sigma*l) is correct to about
+    |sigma * l| / 2 + 2 ulps, inside the slack while |sigma| * max l < ~200.
+    The flat 1e-11 this bound replaces covered the bracket's rounding up to
+    n ~ 40,000 and left every step within ~1e-11 of mu = 1 to a full solve;
+    this one grows with n and has no such limit.
+    """
+    return MU_TOLERANCE + PERRON_TOLERANCE + 2 * n * _EPS
 
 
 def _cw_bracket(m: np.ndarray, v: np.ndarray) -> tuple[float, float] | None:
@@ -389,23 +425,31 @@ def _cw_bracket(m: np.ndarray, v: np.ndarray) -> tuple[float, float] | None:
     return float(ratios.min()), float(ratios.max())
 
 
+def _rate(f: MatrixFunction, sigma: float, v: np.ndarray) -> np.ndarray:
+    """-M'(sigma) v, summed term by term without assembling M'(sigma)."""
+    flat, w, l = f._term_arrays
+    rows, cols = np.divmod(flat, f.dimension)
+    return np.bincount(rows, weights=(l * w) * np.exp(-sigma * l) * v[cols], minlength=f.dimension)
+
+
 class _CertifiedSign:
     """mu(sigma), or a bound on the same side of 1 when that side is certain.
 
-    Calling it at sigma tests the last right vector against M(sigma).  When
-    the Collatz-Wielandt bracket lies wholly above 1 + _SIGN_MARGIN or below
-    1 - _SIGN_MARGIN, the near bound of the bracket is returned in place of
-    mu.  The margin exceeds MU_TOLERANCE plus the error of a full solve
-    (~1e-13) plus the rounding of the bracket (n * eps), so each test that
-    solve_lambda makes (mu against 1, |mu - 1| against MU_TOLERANCE) gives
-    the answer the full solve would give.  An indecisive bracket is first
-    tightened by up to _WARM_STEPS inverse-iteration steps from the same
-    vector; after that mu comes from a full Perron solve, kept in
-    ``perron`` (its right vector seeds the next call).
+    Calling it at sigma tests the current right vector against M(sigma).
+    When the Collatz-Wielandt bracket lies wholly above 1 + ``margin`` or
+    below 1 - ``margin`` (see :func:`_sign_margin`), the near bound of the
+    bracket is returned in place of mu, so each test that solve_lambda makes
+    (mu against 1, |mu - 1| against MU_TOLERANCE) gives the answer the full
+    solve would give.  An indecisive bracket is first tightened by up to
+    _WARM_STEPS inverse-iteration steps from the same vector; after that mu
+    comes from a full Perron solve, kept in ``perron`` (its right vector
+    seeds the next call).  solve_lambda may also seed ``vector`` with the
+    Newton vector of its enclosure.
     """
 
     def __init__(self, f: MatrixFunction):
         self.f = f
+        self.margin = _sign_margin(f.dimension)
         # Weights are > 0 and e^(-sigma*l) > 0, so every M(sigma) has the
         # pattern of M(0): the adjacency matrix in vertex modes, the line
         # graph in edge mode, both strongly connected once the graph is.
@@ -414,17 +458,17 @@ class _CertifiedSign:
 
     def __call__(self, sigma: float) -> float:
         m = self.f.evaluate(sigma)
-        v, shifted = self.vector, None
+        v, shifted, margin = self.vector, None, self.margin
         for step in range(_WARM_STEPS + 1):
             bracket = _cw_bracket(m, v)
             if bracket is None:
                 break
             lo, hi = bracket
-            if lo > 1.0 + _SIGN_MARGIN or hi < 1.0 - _SIGN_MARGIN:
+            if lo > 1.0 + margin or hi < 1.0 - margin:
                 self.vector = v
                 return lo if lo > 1.0 else hi
             # A bracket inside the margin band cannot become decisive.
-            inside = lo >= 1.0 - _SIGN_MARGIN and hi <= 1.0 + _SIGN_MARGIN
+            inside = lo >= 1.0 - margin and hi <= 1.0 + margin
             if inside or step == _WARM_STEPS:
                 break
             if shifted is None:
@@ -439,15 +483,82 @@ class _CertifiedSign:
         return self.perron.mu
 
 
+def _newton_enclosure(
+    f: MatrixFunction, lo: float, hi: float, u: np.ndarray, v: np.ndarray, margin: float
+) -> tuple[tuple[float, float], np.ndarray] | None:
+    """A certified enclosure a < lambda < b and its right vector, or None.
+
+    Newton's method on the two-sided Rayleigh quotient
+    rho = u^T M(sigma) v / u^T v, with slope u^T M'(sigma) v / u^T v, starts
+    at hi.  Each step first moves u and v by one inverse-iteration step,
+    shifted as in _perron just above their brackets so both stay positive.
+    mu(sigma) is convex (log-convex, Kingman) and decreasing, so a step from
+    the right of lambda lands left of it, and steps from the left climb to
+    it; they are clamped to [lo, hi].  Once |rho - 1| and the width of v's
+    bracket are below margin / 4, a and b sit 2 margin / min_i (-M'v)_i / v_i
+    on either side of the Newton point, where every ratio of v's bracket has
+    moved at least 2 margin, and both must pass with v alone:
+    lo(a) > 1 + margin and hi(b) < 1 - margin.  None when a step is not
+    finite, the slope is not negative, Newton has not converged in
+    _NEWTON_STEPS, a shifted solve fails, or a bracket is indecisive.
+    """
+    eye = np.eye(f.dimension)
+    sigma = hi
+    for _ in range(_NEWTON_STEPS):
+        m = f.evaluate(sigma)
+        shifted = m + PRIMITIVITY_SHIFT * eye
+        right, left = _cw_bracket(m, v), _cw_bracket(m.T, u)
+        if right is None or left is None:
+            return None
+        try:
+            v = _inverse_iteration_step(shifted, (right[1] + PRIMITIVITY_SHIFT) * (1 + 1e-12), v)
+            u = _inverse_iteration_step(shifted.T, (left[1] + PRIMITIVITY_SHIFT) * (1 + 1e-12), u)
+        except np.linalg.LinAlgError:
+            return None
+        right = _cw_bracket(m, v)
+        if right is None:
+            return None
+        rate = _rate(f, sigma, v)
+        uv = float(u @ v)
+        rho = float(u @ (m @ v)) / uv
+        slope = -float(u @ rate) / uv
+        step = (rho - 1.0) / slope
+        if not (np.isfinite(step) and slope < 0.0):
+            return None
+        if max(abs(rho - 1.0), right[1] - right[0]) <= 0.25 * margin:
+            break
+        sigma = min(max(sigma - step, lo), hi)
+    else:
+        return None
+
+    center = sigma - step
+    delta = 2.0 * margin / float((rate / v).min())
+    if not 0.0 < delta < np.inf:
+        return None
+    a, b = center - delta, center + delta
+    low, high = _cw_bracket(f.evaluate(a), v), _cw_bracket(f.evaluate(b), v)
+    if low is None or high is None or not (low[0] > 1.0 + margin and high[1] < 1.0 - margin):
+        return None
+    return (a, b), v
+
+
 def solve_lambda(f: MatrixFunction) -> SpectralSolution:
     """Bracket and bisect the strictly decreasing map sigma -> mu(sigma).
 
     Counting mode starts from [0, hi] with mu(0) >= 1 and doubles hi until
     mu < 1; probability and edge modes have mu(0) <= 1 and expand the bracket
-    to the left.  Stops when |mu - 1| <= 1e-12.  Each step needs only the
-    side of 1 that mu lies on, and a Collatz-Wielandt bracket from the last
-    right vector certifies it at most sigma; a full Perron solve runs only
-    at mu(0), where the bracket is indecisive, and so at lambda itself.
+    to the left.  Stops at the first midpoint with |mu - 1| <= 1e-12.  Each
+    step needs only the side of 1 that mu lies on, and a Collatz-Wielandt
+    bracket from the last right vector certifies it at most sigma (see
+    _CertifiedSign).  When neither bracket end is the root, Newton's method
+    first locates lambda and two brackets certify an enclosure a < lambda < b
+    (see _newton_enclosure).  The bisection then replays unchanged: a
+    midpoint <= a or >= b takes its side with no evaluation, since mu is
+    decreasing, and only midpoints inside (a, b) are tested, from Newton's
+    vector.  Without an enclosure every midpoint is tested.  Either way each
+    step takes the side a full Perron solve would, so lambda is the same
+    bisection midpoint bit for bit; the full solves left are mu(0), any step
+    within the margin of 1, and lambda itself.
     """
     report = strong_connectivity(f.graph)
     if not report.strongly_connected:
@@ -486,15 +597,31 @@ def solve_lambda(f: MatrixFunction) -> SpectralSolution:
                 raise BracketFailure(f"no sign change down to sigma = {lo:g}")
 
     bracket = (lo, hi)
-    lam, residual = None, None
+    lam, residual, enclosure = None, None, None
     for endpoint in bracket:
         r = abs(mu_at(endpoint) - 1.0)
         if r <= MU_TOLERANCE:
             lam, residual = endpoint, r
             break
     if lam is None:
+        # Newton runs only here, after the endpoint checks: a root at an end
+        # of the bracket (lambda = 1 or 0 on many small graphs) never pays.
+        found = _newton_enclosure(
+            f, lo, hi, mu_at.perron.left_vector, mu_at.vector, mu_at.margin
+        )
+        if found is not None:
+            enclosure, mu_at.vector = found
+        a, b = enclosure or bracket
         for _ in range(MAX_BISECTIONS):
             mid = 0.5 * (lo + hi)
+            # mu(mid) >= mu(a) > 1 + margin, or <= mu(b) < 1 - margin: the
+            # side a full solve would take.
+            if mid <= a:
+                lo = mid
+                continue
+            if mid >= b:
+                hi = mid
+                continue
             mu = mu_at(mid)
             if abs(mu - 1.0) <= MU_TOLERANCE:
                 lam, residual = mid, abs(mu - 1.0)
@@ -509,13 +636,16 @@ def solve_lambda(f: MatrixFunction) -> SpectralSolution:
             )
 
     # Only a full solve lands within MU_TOLERANCE, so the last one ran at lam.
+    perron = mu_at.perron
     return SpectralSolution(
         function=f,
         lam=lam,
         q=q_matrix(f, lam),
-        perron_at_lambda=mu_at.perron,
+        perron_at_lambda=perron,
         bracket=bracket,
         residual=residual,
+        enclosure=enclosure,
+        dmu_dsigma=float(perron.left_vector @ f.evaluate_derivative(lam) @ perron.right_vector),
     )
 
 

@@ -13,10 +13,14 @@ Claims covered:
       literal cofactor expansion on real, complex, rank-deficient and
       I - M(lam) input
     - solve_lambda checks no sparsity pattern (strong connectivity of the
-      graph decides it, in every mode), decides most bisection steps from a
-      certified Collatz-Wielandt sign with the result bit-identical to full
-      Perron solves at every step, and never certifies a point where a full
-      solve would stop
+      graph decides it, in every mode), makes two full Perron solves and at
+      most 16 evaluations of M(sigma) on a 20-vertex ring, takes the far
+      bisection steps from a certified Newton enclosure and the rest from a
+      certified Collatz-Wielandt sign, with the result bit-identical to full
+      Perron solves at every step (rings of 2 to 100 vertices, lambda inside
+      or at an end of the bracket, and a Newton step forced to NaN), and
+      never certifies a point where a full solve would stop, even at the
+      edges of the margin band
     - all four Perron projection routes agree, are idempotent with unit
       trace, and power-limit rejects periodic input
     - the exponent solve lands on the two-vertex example (lam = 1), on
@@ -294,19 +298,25 @@ def test_adjugate_at_lambda_matches_cofactors_n30():
 
 
 def test_solve_lambda_checks_no_pattern_and_few_solves(monkeypatch):
-    checks, solves = [], []
+    checks, solves, evaluations = [], [], []
     is_irreducible, perron = spectral._is_irreducible, spectral._perron
+    evaluate = MatrixFunction.evaluate
     monkeypatch.setattr(spectral, "_is_irreducible", lambda a: checks.append(1) or is_irreducible(a))
     monkeypatch.setattr(spectral, "_perron", lambda a: solves.append(1) or perron(a))
+    monkeypatch.setattr(MatrixFunction, "evaluate", lambda f, s: evaluations.append(s) or evaluate(f, s))
     g = build_graph(ring_spec(20, 20, 0.9))
-    # Every solve before the certified sign made 43 full Perron solves here.
-    expected = {Mode.COUNTING: 2, Mode.PROBABILITY: 5, Mode.EDGE: 5}
+    # Every solve before the certified sign made 43 full Perron solves here,
+    # and the bisection without an enclosure made 2 / 5 / 5 of them and 43 /
+    # 44 / 44 evaluations of M(sigma).  Now the full solves are mu(0) and
+    # mu(lam), and the evaluations 16 / 15 / 15.
     for mode in Mode:
         checks.clear()
         solves.clear()
+        evaluations.clear()
         solve_lambda(MatrixFunction(g, mode))
         assert len(checks) == 0
-        assert len(solves) == expected[mode] <= 8
+        assert len(solves) == 2
+        assert len(evaluations) <= 16
 
 
 def test_solve_lambda_reducible_graph_raises_before_any_solve(monkeypatch):
@@ -367,30 +377,76 @@ def test_pattern_of_m0_is_strong_connectivity(mode):
     assert seen == {True, False}
 
 
-@pytest.mark.parametrize("n", [5, 20])
+def _assert_same_solution(fast, full):
+    assert (fast.lam, fast.residual, fast.bracket) == (full.lam, full.residual, full.bracket)
+    assert fast.perron_at_lambda.mu == full.perron_at_lambda.mu
+    assert np.array_equal(fast.perron_at_lambda.right_vector, full.perron_at_lambda.right_vector)
+    assert np.array_equal(fast.perron_at_lambda.left_vector, full.perron_at_lambda.left_vector)
+    assert np.array_equal(fast.q, full.q)
+    assert fast.dmu_dsigma == full.dmu_dsigma
+
+
+def _bisection_specs(n):
+    """Seeded rings at n (p = 0.9: lambda inside the bracket; p = 1: lambda = 0,
+    a bracket end in probability and edge modes), and at n = 2 the paper's
+    two-vertex graph (lambda = 1, a bracket end in counting mode)."""
+    seeds = (0,) if n == 100 else (0, 1, 2)
+    specs = [ring_spec(seed, n, p) for seed in seeds for p in (0.9, 1.0)]
+    if n == 2:
+        specs += [two_vertex_spec(), two_vertex_spec(probability=0.45)]
+    return specs
+
+
+@pytest.mark.parametrize("n", [2, 5, 20, 100])
 def test_certified_sign_solve_bit_identical_to_full_solves(monkeypatch, n):
-    g = build_graph(ring_spec(n, n, 0.9))
-    for mode in Mode:
-        f = MatrixFunction(g, mode)
-        fast = solve_lambda(f)
-        with monkeypatch.context() as patch:
-            # No bracket certifies anything, so every step is a full solve.
-            patch.setattr(spectral, "_cw_bracket", lambda m, v: None)
-            full = solve_lambda(f)
-        assert (fast.lam, fast.residual, fast.bracket) == (full.lam, full.residual, full.bracket)
-        assert fast.perron_at_lambda.mu == full.perron_at_lambda.mu
-        assert np.array_equal(fast.perron_at_lambda.right_vector, full.perron_at_lambda.right_vector)
-        assert np.array_equal(fast.perron_at_lambda.left_vector, full.perron_at_lambda.left_vector)
-        assert np.array_equal(fast.q, full.q)
+    enclosed = ends = 0
+    for spec in _bisection_specs(n):
+        g = build_graph(spec)
+        for mode in Mode if g.has_probabilities else [Mode.COUNTING]:
+            f = MatrixFunction(g, mode)
+            fast = solve_lambda(f)
+            with monkeypatch.context() as patch:
+                # No bracket certifies anything: no enclosure, and every
+                # step is a full solve.
+                patch.setattr(spectral, "_cw_bracket", lambda m, v: None)
+                full = solve_lambda(f)
+            _assert_same_solution(fast, full)
+            assert full.enclosure is None
+            if fast.enclosure is not None:
+                enclosed += 1
+                a, b = fast.enclosure
+                assert fast.bracket[0] < a < fast.lam < b < fast.bracket[1]
+                assert spectral._perron(f.evaluate(a)).mu > 1.0 > spectral._perron(f.evaluate(b)).mu
+            if fast.lam in fast.bracket:
+                ends += 1
+                assert fast.enclosure is None
+    assert enclosed >= 3 and ends >= 1
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_newton_that_is_not_finite_falls_back_to_the_whole_bracket(monkeypatch, mode):
+    f = MatrixFunction(build_graph(ring_spec(5, 5, 0.9)), mode)
+    fast = solve_lambda(f)
+    steps = []
+    with monkeypatch.context() as patch:
+        patch.setattr(spectral, "_rate", lambda f, s, v: steps.append(s) or np.full(len(v), np.nan))
+        fallback = solve_lambda(f)
+    assert len(steps) == 1
+    assert fast.enclosure is not None and fallback.enclosure is None
+    _assert_same_solution(fast, fallback)
 
 
 @pytest.mark.parametrize("mode", list(Mode))
 def test_certified_sign_decisions_match_full_solves_near_root(mode):
     f = MatrixFunction(build_graph(ring_spec(20, 20, 0.9)), mode)
-    lam = solve_lambda(f).lam
-    near = [s * d for d in (1e-11, 3e-12, 1e-12, 5e-13, 2e-13, 1e-13, 1e-14) for s in (-1, 1)]
-    offsets = sorted(list(np.linspace(-1e-3, 1e-3, 41)) + near)
+    sol = solve_lambda(f)
+    lam = sol.lam
     sign = spectral._CertifiedSign(f)
+    # mu(lam + d) ~ 1 + d * dmu_dsigma: these d put mu near 1 -+ k * margin,
+    # the edges of the band where a bracket decides nothing.
+    at_margin = [k * sign.margin / sol.dmu_dsigma for k in (0.5, 0.9, 1.0, 1.1, 2.0)]
+    near = [s * d for d in (1e-11, 3e-12, 1e-12, 5e-13, 2e-13, 1e-13, 1e-14, *at_margin) for s in (-1, 1)]
+    offsets = sorted(list(np.linspace(-1e-3, 1e-3, 41)) + near)
     certified = accepted = 0
     for sigma in (lam + d for d in offsets):
         before = sign.perron
@@ -406,8 +462,11 @@ def test_certified_sign_decisions_match_full_solves_near_root(mode):
             # Here solve_lambda stops and keeps |x - 1| as the residual.
             accepted += 1
             assert x == mu
-    # All but the cold first step and the points within ~1e-11 of mu = 1.
-    assert certified >= 38
+    # All but the cold first step, the accepted points (only a full solve
+    # lands within MU_TOLERANCE) and at most one point in the thin band
+    # between MU_TOLERANCE and the margin.  The flat 1e-11 margin this one
+    # replaced certified 38 of the 55 points before the margin offsets.
+    assert certified >= len(offsets) - accepted - 2
     assert accepted >= 3
 
 
