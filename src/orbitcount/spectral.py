@@ -78,15 +78,15 @@ class SpectralSolution:
     ``bracket`` is where the bisection started and ``residual`` is
     |mu(lam) - 1| from the full solve at ``lam``.  ``enclosure`` is the
     certified (a, b) with mu(a) > 1 > mu(b), so a < lambda < b, that spared
-    the bisection its far steps; None when lam is an end of the bracket or
-    the enclosure could not be certified.  Its certificate assumes that
-    rounding in M(sigma) moves mu by less than the ~5e-14 slack of the
-    margin (see _sign_margin): each entry w * e^(-sigma*l) is correct to
-    about |sigma * l| / 2 + 2 ulps, so this holds while |lambda| * max l
-    stays below ~200.  ``dmu_dsigma`` is
-    u^T M'(lam) v with the Perron vectors at lam (u^T v = 1): the slope of
-    mu at the root, negative for a simple root, which turns a residual into
-    an error in lam, |mu - 1| / |dmu_dsigma|.
+    the bisection its far steps; None when lam is an end or the midpoint of
+    the bracket, or the enclosure could not be certified.  Its certificate
+    assumes that rounding in M(sigma) moves mu by less than the ~5e-14
+    slack of the margin (see _sign_margin): each entry w * e^(-sigma*l) is
+    correct to about |sigma * l| / 2 + 2 ulps, so this holds while
+    |lambda| * max l stays below ~200.  ``dmu_dsigma`` is u^T M'(lam) v with
+    the Perron vectors at lam (u^T v = 1): the slope of mu at the root,
+    negative for a simple root, which turns a residual into an error in
+    lam, |mu - 1| / |dmu_dsigma|.
     """
 
     function: "MatrixFunction"
@@ -550,12 +550,13 @@ def solve_lambda(f: MatrixFunction) -> SpectralSolution:
     to the left.  Stops at the first midpoint with |mu - 1| <= 1e-12.  Each
     step needs only the side of 1 that mu lies on, and a Collatz-Wielandt
     bracket from the last right vector certifies it at most sigma (see
-    _CertifiedSign).  When neither bracket end is the root, Newton's method
-    first locates lambda and two brackets certify an enclosure a < lambda < b
-    (see _newton_enclosure).  The bisection then replays unchanged: a
-    midpoint <= a or >= b takes its side with no evaluation, since mu is
-    decreasing, and only midpoints inside (a, b) are tested, from Newton's
-    vector.  Without an enclosure every midpoint is tested.  Either way each
+    _CertifiedSign).  When neither bracket end nor the first midpoint is the
+    root, Newton's method locates lambda and two brackets certify an
+    enclosure a < lambda < b (see _newton_enclosure).  The bisection then
+    goes on unchanged: a midpoint <= a or >= b takes its side with no
+    evaluation, since mu is decreasing, and only midpoints inside (a, b) are
+    tested, from Newton's vector.  Without an enclosure every midpoint is
+    tested.  Either way each
     step takes the side a full Perron solve would, so lambda is the same
     bisection midpoint bit for bit; the full solves left are mu(0), any step
     within the margin of 1, and lambda itself.
@@ -604,32 +605,33 @@ def solve_lambda(f: MatrixFunction) -> SpectralSolution:
             lam, residual = endpoint, r
             break
     if lam is None:
-        # Newton runs only here, after the endpoint checks: a root at an end
-        # of the bracket (lambda = 1 or 0 on many small graphs) never pays.
-        found = _newton_enclosure(
-            f, lo, hi, mu_at.perron.left_vector, mu_at.vector, mu_at.margin
-        )
-        if found is not None:
-            enclosure, mu_at.vector = found
-        a, b = enclosure or bracket
-        for _ in range(MAX_BISECTIONS):
+        a, b = bracket  # until Newton certifies an enclosure
+        for step in range(MAX_BISECTIONS):
             mid = 0.5 * (lo + hi)
-            # mu(mid) >= mu(a) > 1 + margin, or <= mu(b) < 1 - margin: the
-            # side a full solve would take.
-            if mid <= a:
-                lo = mid
-                continue
-            if mid >= b:
-                hi = mid
-                continue
-            mu = mu_at(mid)
-            if abs(mu - 1.0) <= MU_TOLERANCE:
-                lam, residual = mid, abs(mu - 1.0)
-                break
-            if mu > 1.0:
+            if a < mid < b:
+                mu = mu_at(mid)
+                if abs(mu - 1.0) <= MU_TOLERANCE:
+                    lam, residual = mid, abs(mu - 1.0)
+                    break
+                above = mu > 1.0
+            else:
+                # mu(mid) >= mu(a) > 1 + margin, or mu(mid) <= mu(b) <
+                # 1 - margin: the side a full solve would take.
+                above = mid <= a
+            if above:
                 lo = mid
             else:
                 hi = mid
+            if step == 0:
+                # Newton waits for the first midpoint to miss: a root at a
+                # bracket end or its midpoint (lambda = 1 in [0, 2] on the
+                # two-vertex graph) never pays for it.
+                found = _newton_enclosure(
+                    f, lo, hi, mu_at.perron.left_vector, mu_at.vector, mu_at.margin
+                )
+                if found is not None:
+                    enclosure, mu_at.vector = found
+                    a, b = enclosure
         else:
             raise DidNotConverge(
                 MAX_BISECTIONS, f"bisection stalled on [{lo!r}, {hi!r}]"

@@ -11,6 +11,9 @@ Claims covered:
       analyze, count, prob, walk, laplace and kakutani outputs are frozen as
       golden bytes (long kakutani dumps, and analyze on 20- and 100-vertex
       rings, as a line count and sha256)
+    - table rows in every format equal a per-value formatting reference,
+      with float, numpy float, int, bool, string and mixed columns, NaN,
+      infinities, -0 and subnormals
     - exit codes: 1 validation (also from checks inside the library), 2
       numerical failure, 3 budget overflow; malformed graph and rule files
       (fractional or boolean vertex counts, endpoints, types and dimensions
@@ -28,6 +31,7 @@ Claims covered:
 """
 
 import hashlib
+import io
 import json
 import math
 import os
@@ -40,6 +44,7 @@ import pytest
 
 import orbitcount
 from orbitcount import build_graph, graph_to_dict
+from orbitcount import cli
 from orbitcount.cli import run
 from orbitcount.spectral import MatrixFunction, Mode, solve_lambda
 
@@ -503,6 +508,46 @@ def test_output_file(two_vertex_path, tmp_path, capsys):
 
 def test_round_trip_serialization(two_vertex_stochastic):
     assert build_graph(graph_to_dict(two_vertex_stochastic)) == two_vertex_stochastic
+
+
+# -- row formatting -------------------------------------------------------------------
+
+
+def _reference_emit(fmt, header, rows):
+    """The per-value formatting that cli._emit replaced, kept as its reference."""
+    def cell(v):
+        return format(v, ".12g") if isinstance(v, float) else str(v)
+
+    if fmt == "csv":
+        return "".join([",".join(header) + "\n"] + [",".join(cell(v) for v in r) + "\n" for r in rows])
+    if fmt == "jsonl":
+        return "".join(
+            json.dumps({k: float(cell(v)) if isinstance(v, float) else v for k, v in zip(header, r)}) + "\n"
+            for r in rows
+        )
+    widths = [max([len(h)] + [len(cell(r[k])) for r in rows]) for k, h in enumerate(header)]
+    lines = [header] + [[cell(v) for v in r] for r in rows]
+    return "".join("  ".join(c.ljust(w) for c, w in zip(line, widths)) + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("fmt", ["pretty", "csv", "jsonl"])
+def test_emit_matches_per_value_reference(fmt):
+    special = [0.1, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e300, 1 / 3, 123456789012345.0]
+    rng = np.random.default_rng(0)
+    tables = [
+        # columns of floats, of numpy floats, of ints, and of mixed values
+        [(x, np.float64(rng.random()), k, v) for k, (x, v) in enumerate(zip(special, [
+            3, True, "a b", np.float64(2.5), 0.25, False, 7, "", 1e-9]))],
+        [(1.5, 2, "x")],
+        [],
+    ]
+    for rows in tables:
+        header = ["c%d" % k for k in range(len(rows[0]) if rows else 3)]
+        if fmt == "jsonl":
+            rows = [tuple(v if not isinstance(v, np.generic) else v.item() for v in r) for r in rows]
+        out = io.StringIO()
+        cli._emit(fmt, header, rows, out)
+        assert out.getvalue() == _reference_emit(fmt, header, rows)
 
 
 # -- golden bytes for count/prob ------------------------------------------------------

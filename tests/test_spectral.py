@@ -14,7 +14,7 @@ Claims covered:
       I - M(lam) input
     - solve_lambda checks no sparsity pattern (strong connectivity of the
       graph decides it, in every mode), makes two full Perron solves and at
-      most 16 evaluations of M(sigma) on a 20-vertex ring, takes the far
+      most 17 evaluations of M(sigma) on a 20-vertex ring, takes the far
       bisection steps from a certified Newton enclosure and the rest from a
       certified Collatz-Wielandt sign, with the result bit-identical to full
       Perron solves at every step (rings of 2 to 100 vertices, lambda inside
@@ -308,7 +308,7 @@ def test_solve_lambda_checks_no_pattern_and_few_solves(monkeypatch):
     # Every solve before the certified sign made 43 full Perron solves here,
     # and the bisection without an enclosure made 2 / 5 / 5 of them and 43 /
     # 44 / 44 evaluations of M(sigma).  Now the full solves are mu(0) and
-    # mu(lam), and the evaluations 16 / 15 / 15.
+    # mu(lam), and the evaluations 17 / 16 / 16.
     for mode in Mode:
         checks.clear()
         solves.clear()
@@ -316,7 +316,7 @@ def test_solve_lambda_checks_no_pattern_and_few_solves(monkeypatch):
         solve_lambda(MatrixFunction(g, mode))
         assert len(checks) == 0
         assert len(solves) == 2
-        assert len(evaluations) <= 16
+        assert len(evaluations) <= 17
 
 
 def test_solve_lambda_reducible_graph_raises_before_any_solve(monkeypatch):
