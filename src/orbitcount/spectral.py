@@ -556,10 +556,9 @@ def solve_lambda(f: MatrixFunction) -> SpectralSolution:
     goes on unchanged: a midpoint <= a or >= b takes its side with no
     evaluation, since mu is decreasing, and only midpoints inside (a, b) are
     tested, from Newton's vector.  Without an enclosure every midpoint is
-    tested.  Either way each
-    step takes the side a full Perron solve would, so lambda is the same
-    bisection midpoint bit for bit; the full solves left are mu(0), any step
-    within the margin of 1, and lambda itself.
+    tested.  Either way each step takes the side a full Perron solve would,
+    so lambda is the same bisection midpoint bit for bit; the full solves
+    left are mu(0), any step within the margin of 1, and lambda itself.
     """
     report = strong_connectivity(f.graph)
     if not report.strongly_connected:

@@ -18,7 +18,8 @@ Claims covered:
       bisection steps from a certified Newton enclosure and the rest from a
       certified Collatz-Wielandt sign, with the result bit-identical to full
       Perron solves at every step (rings of 2 to 100 vertices, lambda inside
-      or at an end of the bracket, and a Newton step forced to NaN), and
+      the bracket, at an end or at its midpoint, where Newton never runs,
+      and a Newton step forced to NaN), and
       never certifies a point where a full solve would stop, even at the
       edges of the margin band
     - all four Perron projection routes agree, are idempotent with unit
@@ -399,7 +400,7 @@ def _bisection_specs(n):
 
 @pytest.mark.parametrize("n", [2, 5, 20, 100])
 def test_certified_sign_solve_bit_identical_to_full_solves(monkeypatch, n):
-    enclosed = ends = 0
+    enclosed = early = 0
     for spec in _bisection_specs(n):
         g = build_graph(spec)
         for mode in Mode if g.has_probabilities else [Mode.COUNTING]:
@@ -417,10 +418,21 @@ def test_certified_sign_solve_bit_identical_to_full_solves(monkeypatch, n):
                 a, b = fast.enclosure
                 assert fast.bracket[0] < a < fast.lam < b < fast.bracket[1]
                 assert spectral._perron(f.evaluate(a)).mu > 1.0 > spectral._perron(f.evaluate(b)).mu
-            if fast.lam in fast.bracket:
-                ends += 1
+            if fast.lam in (*fast.bracket, 0.5 * sum(fast.bracket)):
+                early += 1
                 assert fast.enclosure is None
-    assert enclosed >= 3 and ends >= 1
+    assert enclosed >= 3 and early >= 1
+
+
+def test_newton_waits_for_the_first_midpoint(monkeypatch):
+    calls = []
+    newton = spectral._newton_enclosure
+    monkeypatch.setattr(spectral, "_newton_enclosure", lambda *a: calls.append(a) or newton(*a))
+    # lambda = 1 is the first midpoint of the bracket [0, 2].
+    sol = solve_lambda(MatrixFunction(build_graph(two_vertex_spec()), Mode.COUNTING))
+    assert (sol.lam, sol.bracket, calls) == (1.0, (0.0, 2.0), [])
+    solve_lambda(MatrixFunction(build_graph(ring_spec(5, 5, 0.9)), Mode.COUNTING))
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("mode", list(Mode))
